@@ -38,8 +38,6 @@ from .errors import (
 from .evolve import (
     Propagator,
     all_pauli_strings,
-    evolve,
-    evolve_until_revival,
     heisenberg_evolve,
     matryoshka_time,
     pauli_coefficients,
@@ -117,8 +115,6 @@ __all__ = [
     "closest_bell",
     "concurrence",
     "conveyor_run",
-    "evolve",
-    "evolve_until_revival",
     "expectation",
     "extract_pair",
     "field_sweep",

@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, Pattern, build_hamiltonian
+from .chain import ChainSpec, Pattern, _check_finite, build_hamiltonian
 from .errors import ValidationError
 from .evolve import Propagator, matryoshka_time
-from .pauli import DensityMatrix, StateVector
+from .pauli import DensityMatrix, StateVector, _check_density
 
 # Hardware-motivated operating point for the three-site robustness
 # study: per-site field strengths over the first-bond coupling.
@@ -28,19 +28,7 @@ _EIG_CUTOFF = 1e-12
 
 
 def _density_array(rho: DensityMatrix | np.ndarray, dim: int | None = None) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        mat = rho.matrix
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValidationError("density matrix is not Hermitian within 1e-12")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > 1e-12:
-            raise ValidationError(f"density matrix trace {trace} deviates from 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-12:
-            raise ValidationError("density matrix has an eigenvalue below -1e-12")
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else _check_density(rho)
     if dim is not None and mat.shape != (dim, dim):
         raise ValidationError(f"expected a {dim}x{dim} density matrix, got {mat.shape}")
     return mat
@@ -196,6 +184,7 @@ def reference_point_fidelity(
     REFERENCE_FIELD_RATIOS of the first-bond coupling and returns the
     overlap with the unperturbed evolution.
     """
+    _check_finite("field scale", scale)
     if scale < 0:
         raise ValidationError("field scale must be nonnegative")
     if t_star is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliString, _apply_masks, _parity
+from .pauli import PauliString, _apply_masks, _check_chain_length, _mask_action
 
 
 class Pattern(enum.Enum):
@@ -29,14 +29,16 @@ class Pattern(enum.Enum):
     CUSTOM = "custom"
 
 
-def _check_chain_length(n_sites: int) -> None:
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
+def _check_finite(name: str, *values: float) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def perfect_transfer_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
     """Mirror-symmetric bond strengths J_i = lam * sqrt(i (N - i))."""
     _check_chain_length(n_sites)
+    _check_finite("coupling scale", lam)
     if lam <= 0:
         raise ValidationError(f"coupling scale must be positive, got {lam}")
     return tuple(lam * math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
@@ -74,8 +76,10 @@ class ChainSpec:
 
     def __post_init__(self):
         _check_chain_length(self.n_sites)
+        _check_finite("coupling scale", self.lam)
         n = self.n_sites
         fields = tuple(float(b) for b in self.fields_b)
+        _check_finite("field", *fields)
         if not fields:
             fields = (0.0,) * n
         if len(fields) != n:
@@ -88,6 +92,7 @@ class ChainSpec:
             j_y = tuple(float(j) for j in self.j_y)
             if len(j_x) != n - 1 or len(j_y) != n - 1:
                 raise ValidationError(f"coupling arrays must have length {n - 1}")
+            _check_finite("coupling", *j_x, *j_y)
             object.__setattr__(self, "j_x", j_x)
             object.__setattr__(self, "j_y", j_y)
         else:
@@ -134,10 +139,8 @@ class HamiltonianTerms:
         idx = np.arange(dim, dtype=np.int64)
         mat = np.zeros((dim, dim), dtype=complex)
         for weight, string in self.terms:
-            ky = (string.phase_power + (string.x_mask & string.z_mask).bit_count()) % 4
-            ph = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[ky]
-            signs = 1.0 - 2.0 * _parity(idx & string.z_mask)
-            mat[idx ^ string.x_mask, idx] += weight * ph * signs
+            rows, values = _mask_action(string, idx)
+            mat[rows, idx] += weight * values
         return mat
 
 

@@ -3,8 +3,9 @@
 Every artifact embeds the fully resolved configuration (a ``config``
 object in JSON files, a leading comment line in CSV files) and uses
 fixed float formatting, so identical invocations produce byte-identical
-outputs.  Exit codes: 0 success, 2 validation problem, 3 numerical
-contract violation (non-convergence, impure boundary pair).
+outputs.  Exit codes: 0 success, 2 validation problem (including
+non-finite numbers), 3 numerical contract violation (non-convergence,
+impure boundary pair, failed linear algebra).
 """
 
 from __future__ import annotations
@@ -15,19 +16,20 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     field_sweep,
     reference_point_fidelity,
     sweep_summary,
     sweep_to_csv,
 )
-from .chain import ChainSpec, Pattern, load_chain_config
+from .chain import ChainSpec, Pattern, _check_finite, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
 from .pauli import StateVector
 from .protocols import conveyor_run, ghz_protocol
-from . import chain as _chain_module
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,21 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
+    """The --config file, if given, supplies defaults; flags override them."""
     if args.config:
         base = load_chain_config(args.config)
-        n = args.n if args.n is not None else base.n_sites
-        lam = args.lam if args.lam is not None else base.lam
-        pattern = Pattern(args.pattern) if args.pattern else base.pattern
-        fields = _parse_fields(args.b) if args.b else base.fields_b
-        j_x = base.j_x if pattern is Pattern.CUSTOM else None
-        j_y = base.j_y if pattern is Pattern.CUSTOM else None
-        return ChainSpec(n, lam, pattern, fields, j_x=j_x, j_y=j_y)
-    if args.n is None:
+    elif args.n is None:
         raise ValidationError("chain length required: pass --n or --config")
-    lam = args.lam if args.lam is not None else 1.0
-    pattern = Pattern(args.pattern) if args.pattern else Pattern.MATRYOSHKA_ALTERNATING
-    fields = _parse_fields(args.b) if args.b else ()
-    return ChainSpec(args.n, lam, pattern, fields)
+    else:
+        base = ChainSpec(args.n)
+    n = args.n if args.n is not None else base.n_sites
+    lam = args.lam if args.lam is not None else base.lam
+    pattern = Pattern(args.pattern) if args.pattern else base.pattern
+    fields = _parse_fields(args.b) if args.b else base.fields_b
+    j_x = base.j_x if pattern is Pattern.CUSTOM else None
+    j_y = base.j_y if pattern is Pattern.CUSTOM else None
+    return ChainSpec(n, lam, pattern, fields, j_x=j_x, j_y=j_y)
 
 
 def _parse_fields(text: str) -> tuple[float, ...]:
@@ -165,24 +166,25 @@ def _t_star(args: argparse.Namespace, spec: ChainSpec) -> float:
     return args.t_star if args.t_star is not None else matryoshka_time(spec.lam)
 
 
-def _evolved_state(spec: ChainSpec, initial: str, t_star: float):
-    propagator = Propagator(_chain_module.build_hamiltonian(spec))
+def _evolve_and_verify(args: argparse.Namespace):
+    """Evolve the --initial state to t*; return it, its report and the config."""
+    spec = _resolve_spec(args)
+    t_star = _t_star(args, spec)
     start = (
         StateVector.zero_state(spec.n_sites)
-        if initial == "all0"
+        if args.initial == "all0"
         else StateVector.from_bits("1" * spec.n_sites)
     )
-    return propagator.evolve(start, t_star)
+    state = Propagator(build_hamiltonian(spec)).evolve(start, t_star)
+    report = verify_matryoshka(state, bell_schedule(spec.n_sites, InitialState(args.initial)))
+    config = _spec_config_dict(spec, t_star, {"command": args.command, "initial": args.initial})
+    return state, report, config
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
-    state = _evolved_state(spec, args.initial, t_star)
-    schedule = bell_schedule(spec.n_sites, InitialState(args.initial))
-    report = verify_matryoshka(state, schedule)
+    state, report, config = _evolve_and_verify(args)
     payload = {
-        "config": _spec_config_dict(spec, t_star, {"command": "generate", "initial": args.initial}),
+        "config": config,
         "state": {
             "components": [
                 {"basis": basis, "re": amp.real, "im": amp.imag}
@@ -198,15 +200,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
-    state = _evolved_state(spec, args.initial, t_star)
-    schedule = bell_schedule(spec.n_sites, InitialState(args.initial))
-    report = verify_matryoshka(state, schedule)
-    payload = {
-        "config": _spec_config_dict(spec, t_star, {"command": "verify", "initial": args.initial}),
-        "verification": report.to_json_dict(),
-    }
+    _check_finite("--min-fidelity", args.min_fidelity)
+    _, report, config = _evolve_and_verify(args)
+    payload = {"config": config, "verification": report.to_json_dict()}
     _emit_json(payload, args.out)
     if args.out:
         for pair in report.pair_reports:
@@ -225,7 +221,7 @@ def _cmd_flux_check(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     t_star = _t_star(args, spec)
     t = args.t if args.t is not None else t_star
-    matches = flux_check(spec.n_sites, spec.lam, t)
+    matches = flux_check(spec, t)
     payload = {
         "config": _spec_config_dict(spec, t_star, {"command": "flux-check", "t": t}),
         "matches": [m.to_json_dict() for m in matches],
@@ -314,9 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "summary": sweep_summary(results),
     }
     summary_path = out_dir / f"{args.prefix}summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _emit_json(summary, str(summary_path))
     print(f"summary -> {summary_path}")
     return 0
 
@@ -357,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BellchainError as exc:
+    except (BellchainError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

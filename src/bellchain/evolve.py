@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .chain import HamiltonianTerms
+from .chain import HamiltonianTerms, _check_finite
 from .errors import ConvergenceError, DimensionMismatchError, ValidationError
-from .pauli import PauliString, StateVector, _parity
+from .pauli import PauliString, StateVector, _mask_action
 
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
@@ -38,6 +38,7 @@ _MAX_SUBSTEPS = 1 << 20
 
 def matryoshka_time(lam: float = 1.0) -> float:
     """Protocol time t* = pi/(4 lam) for the bare-Pauli convention."""
+    _check_finite("coupling scale", lam)
     if lam <= 0:
         raise ValidationError(f"coupling scale must be positive, got {lam}")
     return math.pi / (4.0 * lam)
@@ -95,6 +96,7 @@ class Propagator:
             raise DimensionMismatchError(
                 f"state has {state.n_sites} sites, Hamiltonian {self.hamiltonian.n_sites}"
             )
+        _check_finite("time", t)
         if self.method == "eigen":
             w, v = self._eigenvalues, self._eigenvectors
             amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes))
@@ -106,21 +108,7 @@ class Propagator:
                 self.tolerance,
                 self.max_subspace,
             )
-        out = StateVector.__new__(StateVector)
-        out.n_sites = state.n_sites
-        amps.setflags(write=False)
-        out._amps = amps
-        return out
-
-
-def evolve(propagator: Propagator, state: StateVector, t: float) -> StateVector:
-    """Functional alias for Propagator.evolve."""
-    return propagator.evolve(state, t)
-
-
-def evolve_until_revival(propagator: Propagator, state: StateVector, t_star: float) -> StateVector:
-    """One further t* step; the dynamics is 2 t*-periodic up to phase."""
-    return propagator.evolve(state, t_star)
+        return StateVector._trusted(state.n_sites, amps)
 
 
 def _krylov_expm(
@@ -224,13 +212,8 @@ def pauli_coefficients(
             raise DimensionMismatchError(
                 f"candidate on {string.n_sites} sites cannot project a {dim}x{dim} operator"
             )
-        ph = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[
-            (string.phase_power + (string.x_mask & string.z_mask).bit_count()) % 4
-        ]
-        signs = 1.0 - 2.0 * _parity(cols & string.z_mask)
-        coefficient = complex(
-            np.conj(ph) * np.sum(signs * matrix[cols ^ string.x_mask, cols]) / dim
-        )
+        rows, values = _mask_action(string, cols)
+        coefficient = complex(np.sum(np.conj(values) * matrix[rows, cols]) / dim)
         if abs(coefficient) > 1e-12:
             out.append((coefficient, string))
     out.sort(key=lambda item: (-abs(item[0]), item[1].letters))
@@ -256,6 +239,7 @@ def heisenberg_evolve(
         )
     if pauli.n_sites != n:
         raise DimensionMismatchError("operator length does not match the Hamiltonian")
+    _check_finite("time", t)
     if candidates is None:
         if n > _EXHAUSTIVE_MAX_SITES:
             raise ValidationError(

@@ -19,8 +19,8 @@ import numpy as np
 from .analysis import concurrence, purity
 from .chain import ChainSpec, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
-from .evolve import heisenberg_evolve, pauli_coefficients
-from .pauli import PauliString, StateVector, reduced_density
+from .evolve import heisenberg_evolve
+from .pauli import PauliString, StateVector, _check_chain_length, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -92,8 +92,7 @@ class MatryoshkaSchedule:
 
     def __post_init__(self):
         n = self.n_sites
-        if n < 3 or n % 2 == 0:
-            raise ValidationError(f"chain length must be odd and >= 3, got {n}")
+        _check_chain_length(n)
         if self.central_value not in (0, 1):
             raise ValidationError("central value must be 0 or 1")
         seen = {self.central_site}
@@ -133,8 +132,7 @@ def bell_schedule(n_sites: int, initial: InitialState | str = InitialState.ALL0)
     the labels and take central value 1.  Starting from all-up flips
     only the central value.
     """
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
+    _check_chain_length(n_sites)
     try:
         initial = InitialState(initial)
     except ValueError:
@@ -263,8 +261,7 @@ def verify_matryoshka(state: StateVector, schedule: MatryoshkaSchedule) -> Verif
 
 def mirror_pair_sign(n_sites: int, pair_index: int) -> int:
     """Predicted sign (-1)^((N - 2i + 1)/2) of the matched Z-string."""
-    if n_sites % 2 == 0 or n_sites < 3:
-        raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
+    _check_chain_length(n_sites)
     if not 1 <= pair_index <= (n_sites - 1) // 2:
         raise ValidationError(f"pair index {pair_index} outside 1..{(n_sites - 1) // 2}")
     return (-1) ** ((n_sites - 2 * pair_index + 1) // 2)
@@ -303,17 +300,19 @@ def _mask_sites(mask: int) -> tuple[int, ...]:
     return tuple(p + 1 for p in range(mask.bit_length()) if (mask >> p) & 1)
 
 
-def flux_check(n_sites: int, lam: float, t: float) -> list[FluxMatch]:
+def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
     """Evolve each symmetric pair operator and match it to a Z-string.
 
-    For every i = 1..(N-1)/2 and kind XX, YY the Heisenberg-evolved
-    operator on sites (i, N-i+1) is projected on all diagonal Z-only
-    strings.  A match requires the leading coefficient magnitude to
-    reach 1 - 1e-6 with every other coefficient below 1e-6.
+    For every i = 1..(N-1)/2 and kind XX, YY the operator on sites
+    (i, N-i+1), Heisenberg-evolved under the chain ``spec`` describes,
+    is projected on all diagonal Z-only strings.  A match requires the
+    leading coefficient magnitude to reach 1 - 1e-6 with every other
+    coefficient below 1e-6.
     """
+    n_sites = spec.n_sites
     if n_sites > 8:
         raise ValidationError("flux_check relies on dense operators and stops at 8 sites")
-    hamiltonian = build_hamiltonian(ChainSpec(n_sites, lam))
+    hamiltonian = build_hamiltonian(spec)
     z_strings = [PauliString(n_sites, 0, mask) for mask in range(1, 1 << n_sites)]
     out = []
     for i in range(1, (n_sites - 1) // 2 + 1):

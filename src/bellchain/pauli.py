@@ -36,12 +36,19 @@ def _phase_exponent(phase: complex) -> int:
     raise ValidationError(f"phase must be one of +1, -1, +i, -i, got {phase!r}")
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of an integer array, vectorized."""
-    out = values.astype(np.int64, copy=True)
+def _mask_action(pauli: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a Pauli string sends basis columns ``idx``, and with what value.
+
+    Column j of the string has one nonzero entry, at row j ^ x_mask,
+    equal to the phase times (-1)**popcount(j & z_mask).  Returns
+    ``(rows, values)`` for the int64 array ``idx``.
+    """
+    # fold the bits of idx & z_mask down to their parity
+    parity = idx & pauli.z_mask
     for shift in (32, 16, 8, 4, 2, 1):
-        out ^= out >> shift
-    return out & 1
+        parity ^= parity >> shift
+    phase = _PHASES[(pauli.phase_power + (pauli.x_mask & pauli.z_mask).bit_count()) % 4]
+    return idx ^ pauli.x_mask, phase * (1.0 - 2.0 * (parity & 1))
 
 
 @dataclass(frozen=True)
@@ -116,10 +123,9 @@ class PauliString:
         """Materialize as a 2^N x 2^N matrix via the mask action."""
         dim = 1 << self.n_sites
         idx = np.arange(dim, dtype=np.int64)
-        ph = _PHASES[(self.phase_power + (self.x_mask & self.z_mask).bit_count()) % 4]
-        signs = 1.0 - 2.0 * _parity(idx & self.z_mask)
+        rows, values = _mask_action(self, idx)
         mat = np.zeros((dim, dim), dtype=complex)
-        mat[idx ^ self.x_mask, idx] = ph * signs
+        mat[rows, idx] = values
         return mat
 
     def __mul__(self, other: "PauliString") -> "PauliString":
@@ -144,8 +150,7 @@ class StateVector:
         n = int(amps.size).bit_length() - 1
         if amps.size != (1 << n):
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
-        if n < 3 or n % 2 == 0:
-            raise ValidationError(f"chain length must be odd and >= 3, got {n}")
+        _check_chain_length(n)
         norm = float(np.linalg.norm(amps))
         if normalize:
             if norm == 0.0:
@@ -156,6 +161,15 @@ class StateVector:
         amps.setflags(write=False)
         self.n_sites = n
         self._amps = amps
+
+    @classmethod
+    def _trusted(cls, n_sites: int, amps: np.ndarray) -> "StateVector":
+        """Wrap amplitudes known to be a unit-norm N-site state, unchecked."""
+        out = cls.__new__(cls)
+        amps.setflags(write=False)
+        out.n_sites = n_sites
+        out._amps = amps
+        return out
 
     @classmethod
     def zero_state(cls, n_sites: int) -> "StateVector":
@@ -212,6 +226,11 @@ def bit_label(index: int, n_sites: int) -> str:
     return "".join("1" if (index >> p) & 1 else "0" for p in range(n_sites))
 
 
+def _check_chain_length(n_sites: int) -> None:
+    if n_sites < 3 or n_sites % 2 == 0:
+        raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
+
+
 def _check_site(site: int, n_sites: int) -> None:
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} outside chain 1..{n_sites}")
@@ -223,22 +242,14 @@ def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
         raise DimensionMismatchError(
             f"operator acts on {pauli.n_sites} sites, state has {state.n_sites}"
         )
-    out = StateVector.__new__(StateVector)
-    out.n_sites = state.n_sites
-    amps = _apply_masks(pauli, state.amplitudes)
-    amps.setflags(write=False)
-    out._amps = amps
-    return out
+    return StateVector._trusted(state.n_sites, _apply_masks(pauli, state.amplitudes))
 
 
 def _apply_masks(pauli: PauliString, amps: np.ndarray) -> np.ndarray:
     """Raw mask action on an amplitude array (no wrapping, no checks)."""
-    dim = amps.size
-    idx = np.arange(dim, dtype=np.int64)
-    ph = _PHASES[(pauli.phase_power + (pauli.x_mask & pauli.z_mask).bit_count()) % 4]
-    signs = 1.0 - 2.0 * _parity(idx & pauli.z_mask)
-    out = np.empty(dim, dtype=complex)
-    out[idx ^ pauli.x_mask] = ph * signs * amps
+    rows, values = _mask_action(pauli, np.arange(amps.size, dtype=np.int64))
+    out = np.empty(amps.size, dtype=complex)
+    out[rows] = values * amps
     return out
 
 
@@ -272,11 +283,7 @@ def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     upper = state.dim // (2 * lower)
     block = state.amplitudes.reshape(upper, 2, lower)
     new = np.einsum("ab,ibj->iaj", gate, block).reshape(state.dim)
-    out = StateVector.__new__(StateVector)
-    out.n_sites = state.n_sites
-    new.setflags(write=False)
-    out._amps = new
-    return out
+    return StateVector._trusted(state.n_sites, new)
 
 
 def expectation(state: StateVector, pauli: PauliString) -> float:
@@ -305,14 +312,27 @@ class DensityMatrix:
         dim = 1 << len(self.sites)
         if mat.shape != (dim, dim):
             raise ValidationError(f"matrix shape {mat.shape} does not fit sites {self.sites}")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
-            raise ValidationError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > _HERM_TOL or abs(np.trace(mat).imag) > _HERM_TOL:
-            raise ValidationError("density matrix trace deviates from 1 beyond 1e-12")
-        if np.min(np.linalg.eigvalsh(mat)) < -_HERM_TOL:
-            raise ValidationError("density matrix has an eigenvalue below -1e-12")
+        _check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+
+def _check_density(matrix: np.ndarray) -> np.ndarray:
+    """Complex array of a density matrix: square, Hermitian, unit trace, PSD.
+
+    Each property must hold within 1e-12.
+    """
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
+    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+        raise ValidationError("density matrix is not Hermitian within 1e-12")
+    trace = complex(np.trace(mat))
+    if abs(trace - 1.0) > _HERM_TOL:
+        raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-12")
+    if np.min(np.linalg.eigvalsh(mat)) < -_HERM_TOL:
+        raise ValidationError("density matrix has an eigenvalue below -1e-12")
+    return mat
 
 
 def reduced_density(state: StateVector, sites: Sequence[int]) -> DensityMatrix:
@@ -324,10 +344,18 @@ def reduced_density(state: StateVector, sites: Sequence[int]) -> DensityMatrix:
         raise ValidationError(f"duplicate sites in {sites}")
     for s in sites:
         _check_site(s, state.n_sites)
-    n = state.n_sites
-    tensor = state.amplitudes.reshape((2,) * n)
+    return DensityMatrix(sites, _partial_trace(state.amplitudes, state.n_sites, sites))
+
+
+def _partial_trace(amps: np.ndarray, n_sites: int, sites: Sequence[int]) -> np.ndarray:
+    """Reduced density of a raw amplitude array (no wrapping, no checks).
+
+    Works on any chain length, including the single inner site left
+    when a conveyor round extracts the boundary pair of N = 3.
+    """
+    tensor = amps.reshape((2,) * n_sites)
     # axis n - s holds site s; listed sites become the leading axes
-    kept = [n - s for s in sites]
-    rest = [a for a in range(n) if a not in kept]
+    kept = [n_sites - s for s in sites]
+    rest = [a for a in range(n_sites) if a not in kept]
     mat = np.transpose(tensor, kept + rest).reshape(1 << len(sites), -1)
-    return DensityMatrix(sites, mat @ mat.conj().T)
+    return mat @ mat.conj().T

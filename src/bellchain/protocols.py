@@ -13,7 +13,7 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import StateVector, gate_apply, reduced_density
+from .pauli import StateVector, _partial_trace, gate_apply, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6
@@ -43,15 +43,6 @@ class ExtractionResult:
     chain_after: StateVector
     purity: float
     fidelity: float
-
-
-def _site_rho(amps: np.ndarray, n_sites: int, sites: tuple[int, ...]) -> np.ndarray:
-    """Reduced density of a raw amplitude array (first site = MSB)."""
-    tensor = amps.reshape((2,) * n_sites)
-    kept = [n_sites - s for s in sites]
-    rest = [a for a in range(n_sites) if a not in kept]
-    mat = np.transpose(tensor, kept + rest).reshape(1 << len(sites), -1)
-    return mat @ mat.conj().T
 
 
 def extract_pair(
@@ -92,7 +83,7 @@ def _classify_internal(inner: np.ndarray, n_inner: int) -> tuple[ChainClass, flo
     polarizations = []
     pure_sites = True
     for site in range(1, n_inner + 1):
-        rho = _site_rho(inner, n_inner, (site,))
+        rho = _partial_trace(inner, n_inner, (site,))
         z = float(np.real(rho[0, 0] - rho[1, 1]))
         polarizations.append(z)
         if float(np.real(np.trace(rho @ rho))) < 1.0 - _Z_SEP_PURITY_TOL:
@@ -105,7 +96,7 @@ def _classify_internal(inner: np.ndarray, n_inner: int) -> tuple[ChainClass, flo
     labeled = []
     for p in range(1, (n_inner - 1) // 2 + 1):
         q = n_inner - p + 1
-        label, _ = closest_bell(_site_rho(inner, n_inner, (p, q)))
+        label, _ = closest_bell(_partial_trace(inner, n_inner, (p, q)))
         labeled.append((p, q, label))
     candidate = bell_product_amplitudes(n_inner, labeled, central, central_value)
     fidelity = float(abs(np.vdot(candidate, inner)))

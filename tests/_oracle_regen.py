@@ -460,7 +460,7 @@ def build_reports() -> list:
                 "coefficient": m.coefficient,
                 "residual": m.residual,
             }
-            for m in flux_check(n, 1.0, t_star)
+            for m in flux_check(ChainSpec(n, 1.0), t_star)
         ]
         discrepancy = 0.0
         for ref_m, main_m in zip(ref_matches, main_matches):

@@ -81,13 +81,13 @@ def test_criterion_03_five_site_generalization():
 def test_criterion_04_operator_flow_matches_z_strings():
     start = time.perf_counter()
     t_star = matryoshka_time()
-    three = {(m.pair_index, m.kind): m for m in flux_check(3, 1.0, t_star)}
+    three = {(m.pair_index, m.kind): m for m in flux_check(ChainSpec(3, 1.0), t_star)}
     xx = three[(1, "XX")]
     yy = three[(1, "YY")]
     assert xx.z_sites == (1, 2) and xx.sign == -1 and xx.residual < 1e-9
     assert yy.z_sites == (2, 3) and yy.sign == -1 and yy.residual < 1e-9
     for n in (5, 7):
-        for match in flux_check(n, 1.0, t_star):
+        for match in flux_check(ChainSpec(n, 1.0), t_star):
             assert match.matched, (n, match.pair_index, match.kind)
             assert match.residual < 1e-9, (n, match.pair_index, match.kind)
             assert match.sign == mirror_pair_sign(n, match.pair_index)

@@ -24,6 +24,8 @@ def test_perfect_transfer_couplings_values():
     assert perfect_transfer_couplings(5, 2.0) == pytest.approx(
         (4.0, 2 * math.sqrt(6), 2 * math.sqrt(6), 4.0)
     )
+    with pytest.raises(ValidationError):
+        perfect_transfer_couplings(3, float("nan"))
 
 
 def test_couplings_are_mirror_symmetric():
@@ -55,6 +57,12 @@ def test_spec_validation():
         ChainSpec(3, j_x=(1.0, 1.0), j_y=(1.0, 1.0))  # arrays need CUSTOM
     with pytest.raises(ValidationError):
         ChainSpec(3, pattern=Pattern.CUSTOM)  # CUSTOM needs arrays
+    with pytest.raises(ValidationError):
+        ChainSpec(3, lam=float("nan"))
+    with pytest.raises(ValidationError):
+        ChainSpec(3, fields_b=(0.0, float("inf"), 0.0))
+    with pytest.raises(ValidationError):
+        ChainSpec(3, pattern=Pattern.CUSTOM, j_x=(1.0, float("nan")), j_y=(1.0, 1.0))
 
 
 def test_spec_defaults_to_zero_fields():

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bellchain.cli import main
@@ -40,13 +41,32 @@ def test_generate_all1_initial(capsys):
     assert payload["verification"]["global_fidelity"] > 1 - 1e-10
 
 
-def test_byte_identical_outputs(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "3"],
+        ["verify", "--n", "3"],
+        ["flux-check", "--n", "3"],
+        ["conveyor", "--n", "3"],
+        ["ghz", "--n", "3"],
+        ["reference-point"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_byte_identical_outputs(tmp_path, capsys, argv):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["ghz", "--n", "3", "--out", str(a)]) == 0
-    assert main(["ghz", "--n", "3", "--out", str(b)]) == 0
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_and_verify_share_the_verification(capsys):
+    argv = ["--n", "5", "--b", "0.01,0.02,0.03,0.04,0.05", "--initial", "all1"]
+    generated = run_json(capsys, ["generate", *argv])
+    verified = run_json(capsys, ["verify", *argv, "--min-fidelity", "0"])
+    assert generated["verification"] == verified["verification"]
 
 
 def test_verify_passes_clean_chain(capsys):
@@ -120,6 +140,37 @@ def test_flux_check_json(capsys):
     assert len(matches) == 4
     assert all(m["matched"] for m in matches)
     assert all(m["residual"] < 1e-9 for m in matches)
+
+
+@pytest.mark.parametrize("flags", [["--b", "5,5,5,5,5"], ["--pattern", "perfect-transfer"]])
+def test_flux_check_honours_the_resolved_chain(capsys, flags):
+    payload = run_json(capsys, ["flux-check", "--n", "5", *flags])
+    assert not any(m["matched"] for m in payload["matches"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "3", "--lam", "nan"],
+        ["verify", "--n", "3", "--t-star", "nan"],
+        ["verify", "--n", "3", "--b", "nan,0,0"],
+        ["sweep", "--n", "3", "--lam", "inf"],
+        ["reference-point", "--lam", "nan"],
+        ["verify", "--n", "3", "--min-fidelity", "nan"],
+    ],
+)
+def test_non_finite_input_exits_two(capsys, argv):
+    assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_linear_algebra_failure_exits_three(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["verify", "--n", "3"]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_ghz_json(capsys):

@@ -13,8 +13,6 @@ from bellchain import (
     ValidationError,
     all_pauli_strings,
     build_hamiltonian,
-    evolve,
-    evolve_until_revival,
     heisenberg_evolve,
     matryoshka_time,
     pauli_coefficients,
@@ -111,16 +109,13 @@ def test_dimension_guard():
         propagator.evolve(StateVector.zero_state(3), 1.0)
 
 
-def test_module_level_aliases():
+def test_evolve_composes():
     propagator = Propagator(build_hamiltonian(ChainSpec(3)))
     state = StateVector.zero_state(3)
     t = matryoshka_time()
-    via_alias = evolve(propagator, state, t)
-    via_method = propagator.evolve(state, t)
-    np.testing.assert_allclose(via_alias.amplitudes, via_method.amplitudes, atol=1e-14)
-    revived = evolve_until_revival(propagator, via_method, t)
+    twice = propagator.evolve(propagator.evolve(state, t), t)
     np.testing.assert_allclose(
-        revived.amplitudes, propagator.evolve(state, 2 * t).amplitudes, atol=1e-12
+        twice.amplitudes, propagator.evolve(state, 2 * t).amplitudes, atol=1e-12
     )
 
 

@@ -177,7 +177,9 @@ def test_mirror_pair_sign_validation():
 
 
 def test_flux_check_n3_closed_form():
-    matches = {(m.pair_index, m.kind): m for m in flux_check(3, 1.0, matryoshka_time())}
+    matches = {
+        (m.pair_index, m.kind): m for m in flux_check(ChainSpec(3, 1.0), matryoshka_time())
+    }
     xx = matches[(1, "XX")]
     assert xx.matched
     assert xx.z_sites == (1, 2)
@@ -193,7 +195,7 @@ def test_flux_check_n3_closed_form():
 @pytest.mark.parametrize("n", [5, 7])
 def test_flux_check_matches_oracle(oracle_cases, n):
     reference = oracle_cases[f"n{n}_flux"]["reference_value"]
-    matches = flux_check(n, 1.0, matryoshka_time())
+    matches = flux_check(ChainSpec(n, 1.0), matryoshka_time())
     assert len(matches) == len(reference)
     for match, ref in zip(matches, reference):
         assert match.matched
@@ -204,17 +206,17 @@ def test_flux_check_matches_oracle(oracle_cases, n):
 
 
 def test_flux_check_off_protocol_time_does_not_match():
-    matches = flux_check(3, 1.0, matryoshka_time() / 2)
+    matches = flux_check(ChainSpec(3, 1.0), matryoshka_time() / 2)
     assert not all(m.matched for m in matches)
 
 
 def test_flux_check_site_cap():
     with pytest.raises(ValidationError):
-        flux_check(9, 1.0, 0.1)
+        flux_check(ChainSpec(9, 1.0), 0.1)
 
 
 def test_flux_match_serializes():
-    match = flux_check(3, 1.0, matryoshka_time())[0]
+    match = flux_check(ChainSpec(3, 1.0), matryoshka_time())[0]
     payload = match.to_json_dict()
     assert payload["kind"] == "XX"
     assert payload["z_sites"] == [1, 2]
