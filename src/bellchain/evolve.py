@@ -4,6 +4,14 @@ Two interchangeable propagation methods are provided: a cached full
 eigendecomposition (default up to N = 12) and a matrix-free Lanczos
 Krylov method with adaptive substepping for longer chains.
 
+The eigendecomposition works block by block.  Every XX or YY bond
+flips two spins, so a chain Hamiltonian commutes with the total parity
+prod_i Z_i and splits into an even and an odd popcount block of size
+2^(N-1) each; with XX, YY and Z terms it is also real symmetric, so
+each block is diagonalised in real arithmetic.  A term list that flips
+an odd number of spins, or has complex entries, keeps one block (real
+or complex) holding every basis index.
+
 Timing convention: with the Hamiltonian written in bare Pauli
 operators (no factor 1/2) and the built-in coupling profile
 J_i = lam * sqrt(i (N - i)), the nested Bell structure appears at
@@ -57,6 +65,10 @@ class Propagator:
     tolerance, max_subspace : float, int
         Krylov controls: per-substep error target and the Lanczos
         basis-size ceiling.  Ignored by the eigen method.
+
+    The eigen method stores one ``(indices, eigenvalues, eigenvectors)``
+    triple per Z-parity block (see :func:`_eigen_blocks`) and evolves
+    each block on its own.
     """
 
     def __init__(
@@ -83,12 +95,7 @@ class Propagator:
         self.method = method
         self.tolerance = float(tolerance)
         self.max_subspace = int(max_subspace)
-        self._eigenvalues: np.ndarray | None = None
-        self._eigenvectors: np.ndarray | None = None
-        if method == "eigen":
-            w, v = np.linalg.eigh(hamiltonian.dense())
-            self._eigenvalues = w
-            self._eigenvectors = v
+        self._blocks = _eigen_blocks(hamiltonian) if method == "eigen" else []
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         """exp(-iHt)|v>, deterministic and norm-preserving."""
@@ -98,8 +105,9 @@ class Propagator:
             )
         _check_finite("time", t)
         if self.method == "eigen":
-            w, v = self._eigenvalues, self._eigenvectors
-            amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes))
+            amps = np.empty(state.dim, dtype=complex)
+            for idx, w, v in self._blocks:
+                amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes[idx]))
         else:
             amps = _krylov_expm(
                 self.hamiltonian.apply,
@@ -109,6 +117,28 @@ class Propagator:
                 self.max_subspace,
             )
         return StateVector._trusted(state.n_sites, amps)
+
+
+def _eigen_blocks(
+    hamiltonian: HamiltonianTerms,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Diagonalise H block by block: ``(indices, eigenvalues, eigenvectors)``.
+
+    H splits into the even and odd Z-parity blocks when every term
+    flips an even number of spins, and is diagonalised as a real matrix
+    when it has no imaginary part.  Otherwise one block holds every
+    basis index.
+    """
+    n = hamiltonian.n_sites
+    idx = np.arange(1 << n, dtype=np.int64)
+    h = hamiltonian.dense()
+    if not h.imag.any():
+        h = h.real
+    groups = [idx]
+    if all(string.x_mask.bit_count() % 2 == 0 for _, string in hamiltonian.terms):
+        _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
+        groups = [idx[parity.real > 0], idx[parity.real < 0]]
+    return [(group, *np.linalg.eigh(h[np.ix_(group, group)])) for group in groups]
 
 
 def _krylov_expm(
@@ -228,6 +258,9 @@ def heisenberg_evolve(
 ) -> tuple[np.ndarray, list[tuple[complex, PauliString]]]:
     """U(t)^dag P U(t) as a dense matrix plus its Pauli decomposition.
 
+    U(t) is assembled block by block from the same parity-block
+    eigendecomposition that :class:`Propagator` uses.
+
     Without an explicit candidate set the decomposition runs over all
     4^N strings, which is only allowed up to 5 sites; longer chains
     must pass the strings worth projecting on.
@@ -247,7 +280,8 @@ def heisenberg_evolve(
                 f"pass an explicit candidate set"
             )
         candidates = all_pauli_strings(n)
-    w, v = np.linalg.eigh(hamiltonian.dense())
-    u = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    for idx, w, v in _eigen_blocks(hamiltonian):
+        u[np.ix_(idx, idx)] = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
     evolved = u.conj().T @ pauli.dense() @ u
     return evolved, pauli_coefficients(evolved, candidates)

@@ -22,6 +22,8 @@ from .errors import DimensionMismatchError, ValidationError
 
 _NORM_TOL = 1e-10
 _HERM_TOL = 1e-12
+# magnitudes this close are equal up to rounding and count as ties
+_TIE_TOL = 1e-9
 
 # letter <-> (x bit, z bit); Y carries both masks and a bookkeeping i
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -207,15 +209,18 @@ class StateVector:
     def dominant_components(self, tol: float = 1e-12) -> list[tuple[str, complex]]:
         """Basis components with |amplitude| > tol, largest first.
 
-        Ties are broken by basis index so the output is deterministic.
+        A magnitude within 1e-9 of the next larger one ties with it, and
+        ties are broken by basis index, so rounding noise cannot reorder
+        components of equal weight.
         """
-        entries = [
-            (bit_label(idx, self.n_sites), complex(a))
-            for idx, a in enumerate(self._amps)
-            if abs(a) > tol
-        ]
-        entries.sort(key=lambda e: (-abs(e[1]), e[0]))
-        return entries
+        mags = np.abs(self._amps)
+        kept = np.flatnonzero(mags > tol)
+        kept = kept[np.argsort(-mags[kept], kind="stable")]
+        ranked = mags[kept]
+        # a new tie class starts wherever the magnitude drops by more than _TIE_TOL
+        tie_class = np.cumsum(np.diff(ranked, prepend=ranked[:1]) < -_TIE_TOL)
+        order = kept[np.lexsort((kept, tie_class))]
+        return [(bit_label(int(i), self.n_sites), complex(self._amps[i])) for i in order]
 
     def __repr__(self) -> str:
         return f"StateVector(n_sites={self.n_sites})"
@@ -308,7 +313,7 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         dim = 1 << len(self.sites)
         if mat.shape != (dim, dim):
             raise ValidationError(f"matrix shape {mat.shape} does not fit sites {self.sites}")
@@ -323,8 +328,10 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
     Each property must hold within 1e-12.
     """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValidationError(
+            f"density matrix must be square and non-empty, got shape {mat.shape}"
+        )
     if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
         raise ValidationError("density matrix is not Hermitian within 1e-12")
     trace = complex(np.trace(mat))

@@ -13,7 +13,7 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import StateVector, _partial_trace, gate_apply, reduced_density
+from .pauli import _TIE_TOL, StateVector, _partial_trace, gate_apply, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6
@@ -64,7 +64,10 @@ def extract_pair(
         raise PairNotPureError(pair_purity, 1.0 - purity_tolerance)
     eigenvalues, eigenvectors = np.linalg.eigh(rho)
     pair = eigenvectors[:, -1]
-    anchor = int(np.argmax(np.abs(pair)))
+    # gauge: the lowest index among the largest components is real positive,
+    # so a tie such as a Bell pair's two 1/sqrt(2) entries cannot fall to rounding
+    magnitudes = np.abs(pair)
+    anchor = int(np.flatnonzero(magnitudes >= magnitudes.max() - _TIE_TOL)[0])
     pair = pair * (np.conj(pair[anchor]) / abs(pair[anchor]))
     # axes of the (2, 2^(N-2), 2) view: site N, middle block, site 1
     blocks = state.amplitudes.reshape(2, 1 << (n - 2), 2)
@@ -194,7 +197,8 @@ def ghz_protocol(spec: ChainSpec, t_star: float | None = None) -> GhzResult:
 
     The reported fidelity is max over phi of the overlap with
     (|0..0> + e^(i phi)|1..1>)/sqrt(2), which equals
-    (|a_first| + |a_last|)/sqrt(2); the maximizing phi comes along.
+    (|a_first| + |a_last|)/sqrt(2); the maximizing phi comes along,
+    in (-pi, pi].
     """
     if spec.pattern is not Pattern.MATRYOSHKA_ALTERNATING:
         raise ValidationError("the GHZ protocol requires the matryoshka coupling pattern")
@@ -209,4 +213,7 @@ def ghz_protocol(spec: ChainSpec, t_star: float | None = None) -> GhzResult:
     b = complex(state.amplitudes[-1])
     fidelity = (abs(a) + abs(b)) / np.sqrt(2.0)
     phase = cmath.phase(b * np.conj(a))
+    # on the branch cut rounding picks the sign: report pi, never -pi
+    if phase < _TIE_TOL - cmath.pi:
+        phase = cmath.pi
     return GhzResult(state, float(fidelity), float(phase))

@@ -30,6 +30,11 @@ def test_purity_bounds():
     assert purity(np.eye(4, dtype=complex) / 4) == pytest.approx(0.25)
 
 
+def test_purity_rejects_empty_matrix():
+    with pytest.raises(ValidationError):
+        purity(np.zeros((0, 0)))
+
+
 def test_concurrence_of_bell_states_is_one():
     for label in BellLabel:
         assert concurrence(bell_rho(label)) == pytest.approx(1.0, abs=1e-12)

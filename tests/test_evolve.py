@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bellchain import (
     ChainSpec,
     DimensionMismatchError,
+    HamiltonianTerms,
     Pattern,
     PauliString,
     Propagator,
@@ -17,6 +19,7 @@ from bellchain import (
     matryoshka_time,
     pauli_coefficients,
 )
+from bellchain.oracle import dense_expm_evolve
 from _helpers import random_custom_spec, random_state
 
 
@@ -72,15 +75,74 @@ def test_negative_time_inverts():
 
 
 def test_eigen_vs_krylov_agreement():
+    # random custom couplings and fields; eigen against Krylov and the dense expm oracle
     rng = np.random.default_rng(5)
-    for n in (3, 5, 7):
+    for n in (3, 5, 7, 9):
         spec = random_custom_spec(rng, n)
         h = build_hamiltonian(spec)
         state = random_state(rng, n)
         t = float(rng.uniform(0.2, 4.0))
         eager = Propagator(h, method="eigen").evolve(state, t)
         lazy = Propagator(h, method="krylov").evolve(state, t)
+        reference = dense_expm_evolve(h, state, t)
         assert np.linalg.norm(eager.amplitudes - lazy.amplitudes) < 1e-8
+        assert np.linalg.norm(eager.amplitudes - reference.amplitudes) < 1e-11
+
+
+def _terms(n_sites: int, *weighted: tuple[float, str]) -> HamiltonianTerms:
+    return HamiltonianTerms(
+        n_sites, tuple((w, PauliString.from_letters(letters)) for w, letters in weighted)
+    )
+
+
+# (terms, number of parity blocks, eigenvector dtype)
+_HAND_BUILT = [
+    # one spin flip and an imaginary Y: neither parity-conserving nor real
+    (_terms(3, (0.7, "XII"), (0.4, "IYI"), (0.3, "ZZZ")), 1, np.complex128),
+    # one spin flip but real entries
+    (_terms(3, (0.7, "XII"), (0.5, "IZI")), 1, np.float64),
+    # parity-conserving but imaginary (XY - YX is a Dzyaloshinskii-Moriya bond)
+    (_terms(3, (0.6, "XYI"), (-0.6, "YXI"), (0.9, "IXX"), (0.2, "ZII")), 2, np.complex128),
+]
+
+
+@pytest.mark.parametrize("h, n_blocks, dtype", _HAND_BUILT)
+def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
+    rng = np.random.default_rng(11)
+    eager = Propagator(h, method="eigen")
+    assert len(eager._blocks) == n_blocks
+    assert sorted(np.concatenate([idx for idx, _, _ in eager._blocks])) == list(range(8))
+    assert all(v.dtype == dtype for _, _, v in eager._blocks)
+    state = random_state(rng, 3)
+    for t in (0.3, -1.7, 4.2):
+        reference = dense_expm_evolve(h, state, t).amplitudes
+        lazy = Propagator(h, method="krylov").evolve(state, t).amplitudes
+        np.testing.assert_allclose(eager.evolve(state, t).amplitudes, reference, atol=1e-12)
+        np.testing.assert_allclose(lazy, reference, atol=1e-8)
+    pauli = PauliString.from_letters("XIY")
+    matrix, _ = heisenberg_evolve(h, pauli, 0.8)
+    u = scipy.linalg.expm(-0.8j * h.dense())
+    np.testing.assert_allclose(matrix, u.conj().T @ pauli.dense() @ u, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_chain_hamiltonians_split_into_two_real_parity_blocks(n):
+    rng = np.random.default_rng(n)
+    specs = [
+        ChainSpec(n),
+        ChainSpec(n, pattern=Pattern.PERFECT_TRANSFER),
+        ChainSpec(n, fields_b=tuple(rng.uniform(-1.0, 1.0, size=n))),
+        ChainSpec(n, 2.5, Pattern.PERFECT_TRANSFER, tuple(rng.uniform(-1.0, 1.0, size=n))),
+        random_custom_spec(rng, n),
+    ]
+    half = 1 << (n - 1)
+    for spec in specs:
+        blocks = Propagator(build_hamiltonian(spec), method="eigen")._blocks
+        assert len(blocks) == 2
+        for (idx, w, v), parity in zip(blocks, (0, 1)):
+            assert idx.shape == (half,) and w.shape == (half,) and v.shape == (half, half)
+            assert w.dtype == np.float64 and v.dtype == np.float64
+            assert all(int(i).bit_count() % 2 == parity for i in idx)
 
 
 def test_auto_method_picks_eigen_for_small_chains():

@@ -151,6 +151,19 @@ def test_dominant_components_sorted_and_labeled():
     assert components[1][0] == "101"  # index 5: sites 1 and 3 up
 
 
+def test_dominant_components_ties_fall_to_basis_index():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        amps = (1.0 + rng.uniform(-1e-16, 1e-16, size=8)) / np.sqrt(8)
+        state = StateVector(amps * rng.choice([1.0, -1.0, 1j], size=8))
+        labels = [label for label, _ in state.dominant_components()]
+        assert labels == [bit_label(i, 3) for i in range(8)]
+    # a real gap still orders by magnitude
+    amps = np.full(8, 0.25, dtype=complex)
+    amps[6] = np.sqrt(0.25)
+    assert StateVector(amps, normalize=True).dominant_components()[0][0] == "011"
+
+
 def test_expectation_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         expectation(StateVector.zero_state(3), PauliString.from_letters("XYZ", phase=1j))
@@ -215,6 +228,14 @@ def test_density_matrix_validates():
     assert good.sites == (1,)
     with pytest.raises(ValidationError):
         DensityMatrix((1,), np.array([[0.9, 0.0], [0.0, 0.2]], dtype=complex))
+
+
+def test_density_matrix_leaves_the_callers_array_writable():
+    m = np.eye(2, dtype=complex) / 2
+    rho = DensityMatrix((1,), m)
+    m[0, 0] = 0.25
+    assert rho.matrix[0, 0] == 0.5
+    assert not rho.matrix.flags.writeable
 
 
 def test_pauli_mul_rejects_length_mismatch():

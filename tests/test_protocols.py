@@ -47,6 +47,18 @@ def test_extract_pair_resets_boundary_sites():
     assert np.linalg.norm(after.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("nudged", [1, 4])
+def test_extract_pair_gauge_ignores_rounding_on_a_tie(nudged):
+    # psi- on the boundary sites (1, 3) of N = 3, site 2 down; indices 1 and 4
+    # hold the |10> and |01> components, and one of them is nudged by 1e-15
+    amps = np.zeros(8, dtype=complex)
+    amps[4], amps[1] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+    amps[nudged] *= 1.0 + 1e-15
+    pair = extract_pair(StateVector(amps, normalize=True)).pair_state
+    np.testing.assert_allclose(pair, [0.0, 1.0, -1.0, 0.0] / np.sqrt(2.0), atol=1e-14)
+    assert closest_bell(pair)[0] is BellLabel.PSI_MINUS
+
+
 def test_extract_pair_raises_on_impure_boundary():
     spec = ChainSpec(3, fields_b=(0.3, 0.3, 0.3))
     state = evolved(spec)
@@ -151,6 +163,12 @@ def test_ghz_perturbed_matches_oracle(oracle_cases):
     fields = tuple(r * j_edge for r in (7.8 / 270, 19.6 / 270, 12.6 / 270))
     result = ghz_protocol(ChainSpec(3, fields_b=fields))
     assert result.ghz_fidelity == pytest.approx(case["fidelity"], abs=1e-10)
+
+
+def test_ghz_phase_on_the_branch_cut_is_plus_pi():
+    # zero-field N = 5 and 7 end on -|1..1>, where rounding picks the sign of pi
+    for n in (5, 7):
+        assert ghz_protocol(ChainSpec(n)).relative_phase == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_ghz_state_components():
