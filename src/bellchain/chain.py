@@ -12,13 +12,14 @@ only the ratios B/J and the products J*t enter the dynamics.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliString, _apply_masks, _check_chain_length, _mask_action
+from .pauli import PauliString, _check_chain_length, _mask_action
 
 
 class Pattern(enum.Enum):
@@ -126,12 +127,49 @@ class HamiltonianTerms:
             if not string.is_hermitian:
                 raise ValidationError(f"non-Hermitian term {string}")
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """H @ v on a raw amplitude array."""
-        out = np.zeros_like(amplitudes)
+    @functools.cached_property
+    def _flip_groups(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """The terms grouped by ``x_mask``: ``(flipped axes, coefficients)``.
+
+        On the amplitudes viewed as a ``(2,)*N`` tensor (axis ``N - s``
+        holds site s), a group flips its axes and scales each amplitude
+        by the summed sign and phase of its terms at the destination
+        index.  That coefficient varies only along the axes in the union
+        of the group's z masks and broadcasts over the rest: a scalar for
+        an XX bond, four entries for a YY bond, one 2^N tensor for all Z
+        fields together.  Built on first use, so Hamiltonians that are
+        only diagonalised never pay for it.
+        """
+        n = self.n_sites
+        by_flip: dict[int, list[tuple[float, PauliString]]] = {}
         for weight, string in self.terms:
-            out += weight * _apply_masks(string, amplitudes)
-        return out
+            by_flip.setdefault(string.x_mask, []).append((weight, string))
+        groups = []
+        for x_mask, members in by_flip.items():
+            z_union = 0
+            for _, string in members:
+                z_union |= string.z_mask
+            # destination indices spanning only the bits of z_union
+            rows = np.zeros((1,) * n, dtype=np.int64)
+            for bit in range(n):
+                if z_union >> bit & 1:
+                    shape = [1] * n
+                    shape[n - 1 - bit] = 2
+                    rows = rows | (np.arange(2, dtype=np.int64) << bit).reshape(shape)
+            coeff = np.zeros(rows.shape, dtype=complex)
+            for weight, string in members:
+                coeff += weight * _mask_action(string, rows ^ x_mask)[1]
+            axes = tuple(n - 1 - bit for bit in range(n) if x_mask >> bit & 1)
+            groups.append((axes, coeff))
+        return tuple(groups)
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """H @ v on a raw amplitude array, one flip-and-scale per x_mask group."""
+        tensor = amplitudes.reshape((2,) * self.n_sites)
+        out = np.zeros_like(tensor)
+        for axes, coeff in self._flip_groups:
+            out += coeff * np.flip(tensor, axes)
+        return out.reshape(amplitudes.shape)
 
     def dense(self) -> np.ndarray:
         """Materialize H as a 2^N x 2^N array via the mask action."""

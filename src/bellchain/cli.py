@@ -170,12 +170,14 @@ def _evolve_and_verify(args: argparse.Namespace):
     """Evolve the --initial state to t*; return it, its report and the config."""
     spec = _resolve_spec(args)
     t_star = _t_star(args, spec)
-    start = (
+    # the propagator is built, and checks the size against memory, before
+    # the start state exists; it is dropped as soon as the state is evolved
+    state = Propagator(build_hamiltonian(spec)).evolve(
         StateVector.zero_state(spec.n_sites)
         if args.initial == "all0"
-        else StateVector.from_bits("1" * spec.n_sites)
+        else StateVector.from_bits("1" * spec.n_sites),
+        t_star,
     )
-    state = Propagator(build_hamiltonian(spec)).evolve(start, t_star)
     report = verify_matryoshka(state, bell_schedule(spec.n_sites, InitialState(args.initial)))
     config = _spec_config_dict(spec, t_star, {"command": args.command, "initial": args.initial})
     return state, report, config

@@ -2,7 +2,13 @@
 
 Two interchangeable propagation methods are provided: a cached full
 eigendecomposition (default up to N = 12) and a matrix-free Lanczos
-Krylov method with adaptive substepping for longer chains.
+Krylov method for longer chains.
+
+The Krylov method grows its basis one vector at a time and stops as
+soon as the a-posteriori error estimate for the step meets the
+tolerance.  When the full basis cannot carry the step, the step is
+halved on that same basis until it can; the method then continues from
+the time reached, trying the whole remaining time again.
 
 The eigendecomposition works block by block.  Every XX or YY bond
 flips two spins, so a chain Hamiltonian commutes with the total parity
@@ -29,6 +35,7 @@ tested directly.
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,12 +70,17 @@ class Propagator:
         "eigen", "krylov", or "auto" (eigen up to 12 sites, Krylov
         beyond).  The eigen method refuses chains longer than 12 sites.
     tolerance, max_subspace : float, int
-        Krylov controls: per-substep error target and the Lanczos
-        basis-size ceiling.  Ignored by the eigen method.
+        Krylov controls: per-step error target and the Lanczos
+        basis-size ceiling.  Ignored by the eigen method.  The Krylov
+        method refuses a basis of ``max_subspace * 2^N * 16`` bytes
+        larger than physical memory.
 
     The eigen method stores one ``(indices, eigenvalues, eigenvectors)``
     triple per Z-parity block (see :func:`_eigen_blocks`) and evolves
-    each block on its own.
+    each block on its own.  The Krylov method stops growing its basis at
+    the first size that meets ``tolerance`` for the remaining time; if
+    the full basis does not, it halves the step on that same basis until
+    it does, and repeats from the time reached.
     """
 
     def __init__(
@@ -91,6 +103,14 @@ class Propagator:
             raise ValidationError("tolerance must be positive")
         if max_subspace < 2:
             raise ValidationError("max_subspace must be at least 2")
+        if method == "krylov":
+            need = max_subspace * (1 << hamiltonian.n_sites) * 16
+            have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if need > have:
+                raise ValidationError(
+                    f"a Krylov basis of {max_subspace} vectors at {hamiltonian.n_sites} "
+                    f"sites needs {need} bytes, more than the {have} bytes of physical memory"
+                )
         self.hamiltonian = hamiltonian
         self.method = method
         self.tolerance = float(tolerance)
@@ -148,27 +168,20 @@ def _krylov_expm(
     tolerance: float,
     max_subspace: int,
 ) -> np.ndarray:
-    """Lanczos propagation with uniform substeps, doubled on failure."""
+    """Lanczos propagation in steps that each try the whole remaining time.
+
+    All steps share one preallocated ``(max_subspace, 2^N)`` basis.
+    """
     if t == 0.0:
         return amplitudes.copy()
-    substeps = 1
-    while substeps <= _MAX_SUBSTEPS:
-        dt = t / substeps
-        current = amplitudes
-        ok = True
-        for _ in range(substeps):
-            current, converged = _lanczos_step(apply_h, current, dt, tolerance, max_subspace)
-            if not converged:
-                ok = False
-                break
-        if ok:
+    basis = np.empty((max_subspace, amplitudes.size), dtype=complex)
+    min_step = abs(t) / _MAX_SUBSTEPS
+    current, remaining = amplitudes, t
+    while True:
+        current, step = _lanczos_step(apply_h, current, remaining, tolerance, basis, min_step)
+        if step == remaining:
             return current
-        substeps *= 2
-    raise ConvergenceError(
-        f"Krylov propagation did not reach tolerance {tolerance:.1e} "
-        f"within {_MAX_SUBSTEPS} substeps; loosen the tolerance or "
-        f"enlarge max_subspace"
-    )
+        remaining -= step
 
 
 def _lanczos_step(
@@ -176,41 +189,56 @@ def _lanczos_step(
     v: np.ndarray,
     dt: float,
     tolerance: float,
-    max_subspace: int,
-) -> tuple[np.ndarray, bool]:
-    """One exp(-iH dt) application; returns (result, error_ok)."""
+    basis: np.ndarray,
+    min_step: float,
+) -> tuple[np.ndarray, float]:
+    """exp(-iH s)|v> for the longest s in dt, dt/2, dt/4, ... that converges.
+
+    The basis grows one vector at a time and stops at the first size m
+    whose a-posteriori error estimate |s| * beta_m * |y_m| is within
+    ``tolerance`` for s = dt.  If the full basis fails, s is halved on
+    that same basis, which does not depend on s, until the estimate
+    passes; below ``min_step`` the propagation gives up.  Returns
+    ``(result, s)``.
+    """
     norm0 = np.linalg.norm(v)
-    basis = [v / norm0]
+    basis[0] = v / norm0
     alphas: list[float] = []
     betas: list[float] = []
-    happy = False
-    for j in range(max_subspace):
+    for j in range(basis.shape[0]):
         w = apply_h(basis[j])
         alpha = float(np.real(np.vdot(basis[j], w)))
-        w = w - alpha * basis[j]
+        w -= alpha * basis[j]
         if j > 0:
-            w = w - betas[j - 1] * basis[j - 1]
-        # full reorthogonalization keeps the basis clean at this scale
-        for u in basis:
-            w = w - np.vdot(u, w) * u
+            w -= betas[j - 1] * basis[j - 1]
+        # full reorthogonalization in two block Gram-Schmidt passes
+        for _ in range(2):
+            h = np.conj(basis[: j + 1] @ np.conj(w))
+            w -= h @ basis[: j + 1]
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
+        w_small, q_small = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
+        coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
         if beta < 1e-14 * max(1.0, abs(alpha)):
-            happy = True
+            break  # happy breakdown: the basis spans an invariant subspace
+        if abs(dt) * beta * abs(coefficients[-1]) <= tolerance:
             break
         betas.append(beta)
-        if j + 1 < max_subspace:
-            basis.append(w / beta)
+        if j + 1 < basis.shape[0]:
+            basis[j + 1] = w / beta
+    else:
+        # the full basis failed at dt: shrink the step on the same basis
+        while abs(dt) * beta * abs(coefficients[-1]) > tolerance:
+            dt /= 2
+            if abs(dt) < min_step:
+                raise ConvergenceError(
+                    f"Krylov propagation did not reach tolerance {tolerance:.1e} "
+                    f"with steps down to 1/{_MAX_SUBSTEPS} of the time; loosen the "
+                    f"tolerance or enlarge max_subspace"
+                )
+            coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
     m = len(alphas)
-    used_betas = np.array(betas[: m - 1])
-    w_small, q_small = scipy.linalg.eigh_tridiagonal(np.array(alphas), used_betas)
-    y = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
-    if not happy:
-        residual = abs(dt) * betas[m - 1] * abs(y[-1])
-        if residual > tolerance:
-            return v, False
-    result = norm0 * (np.stack(basis[:m], axis=1) @ y)
-    return result, True
+    return norm0 * (coefficients @ basis[:m]), dt
 
 
 def all_pauli_strings(n_sites: int) -> list[PauliString]:

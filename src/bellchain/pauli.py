@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -68,6 +69,18 @@ class PauliString:
     phase_power: int = 0
 
     def __post_init__(self):
+        # plain ints skip the conversion: sweeps build thousands of strings
+        if not (
+            type(self.n_sites) is type(self.x_mask) is type(self.z_mask)
+            is type(self.phase_power) is int
+        ):
+            for name in ("n_sites", "x_mask", "z_mask", "phase_power"):
+                try:
+                    object.__setattr__(self, name, operator.index(getattr(self, name)))
+                except TypeError:
+                    raise ValidationError(
+                        f"{name} must be an integer, got {getattr(self, name)!r}"
+                    ) from None
         if self.n_sites < 1:
             raise ValidationError("PauliString needs at least one site")
         top = 1 << self.n_sites

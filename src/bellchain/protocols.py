@@ -211,7 +211,7 @@ def ghz_protocol(spec: ChainSpec, t_star: float | None = None) -> GhzResult:
     state = propagator.evolve(state, t_star)
     a = complex(state.amplitudes[0])
     b = complex(state.amplitudes[-1])
-    fidelity = (abs(a) + abs(b)) / np.sqrt(2.0)
+    fidelity = min(1.0, (abs(a) + abs(b)) / np.sqrt(2.0))
     phase = cmath.phase(b * np.conj(a))
     # on the branch cut rounding picks the sign: report pi, never -pi
     if phase < _TIE_TOL - cmath.pi:

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from bellchain import Propagator, StateVector, cli
 from bellchain.cli import main
 
 
@@ -173,9 +175,33 @@ def test_linear_algebra_failure_exits_three(monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_krylov_convergence_failure_exits_three(monkeypatch, capsys):
+    strict = functools.partial(Propagator, method="krylov", tolerance=1e-300, max_subspace=2)
+    monkeypatch.setattr(cli, "Propagator", strict)
+    assert main(["verify", "--n", "5"]) == 3
+    assert "did not reach tolerance" in capsys.readouterr().err
+
+
+def test_chain_too_large_for_memory_exits_two_before_any_state(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a state was allocated")
+
+    monkeypatch.setattr(StateVector, "zero_state", unreachable)
+    monkeypatch.setattr(StateVector, "from_bits", unreachable)
+    for command in ("generate", "verify"):
+        assert main([command, "--n", "31"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+
 def test_ghz_json(capsys):
     payload = run_json(capsys, ["ghz", "--n", "5"])
     assert payload["result"]["ghz_fidelity"] > 1 - 1e-8
+
+
+@pytest.mark.parametrize("n", ["5", "7", "13"])
+def test_ghz_fidelity_never_exceeds_one(capsys, n):
+    # zero-field N = 7 rounded to 1.0000000000000002 before the clip
+    assert run_json(capsys, ["ghz", "--n", n])["result"]["ghz_fidelity"] <= 1.0
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from bellchain import (
     ChainSpec,
+    ConvergenceError,
     DimensionMismatchError,
     HamiltonianTerms,
     Pattern,
@@ -19,6 +20,7 @@ from bellchain import (
     matryoshka_time,
     pauli_coefficients,
 )
+import bellchain.evolve
 from bellchain.oracle import dense_expm_evolve
 from _helpers import random_custom_spec, random_state
 
@@ -114,6 +116,9 @@ def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
     assert sorted(np.concatenate([idx for idx, _, _ in eager._blocks])) == list(range(8))
     assert all(v.dtype == dtype for _, _, v in eager._blocks)
     state = random_state(rng, 3)
+    np.testing.assert_allclose(
+        h.apply(state.amplitudes), h.dense() @ state.amplitudes, rtol=0, atol=1e-12
+    )
     for t in (0.3, -1.7, 4.2):
         reference = dense_expm_evolve(h, state, t).amplitudes
         lazy = Propagator(h, method="krylov").evolve(state, t).amplitudes
@@ -123,6 +128,89 @@ def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
     matrix, _ = heisenberg_evolve(h, pauli, 0.8)
     u = scipy.linalg.expm(-0.8j * h.dense())
     np.testing.assert_allclose(matrix, u.conj().T @ pauli.dense() @ u, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_apply_matches_dense_with_fields(n):
+    rng = np.random.default_rng(100 + n)
+    for spec in (random_custom_spec(rng, n), ChainSpec(n, 1.3, Pattern.PERFECT_TRANSFER)):
+        h = build_hamiltonian(spec)
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        np.testing.assert_allclose(h.apply(v), h.dense() @ v, rtol=0, atol=1e-12)
+
+
+def _count_applies(monkeypatch) -> list[int]:
+    calls = [0]
+    original = HamiltonianTerms.apply
+
+    def counted(self, amplitudes):
+        calls[0] += 1
+        return original(self, amplitudes)
+
+    monkeypatch.setattr(HamiltonianTerms, "apply", counted)
+    return calls
+
+
+def test_krylov_matches_independent_routes_backwards_in_time():
+    rng = np.random.default_rng(13)
+    for n in (9, 11):
+        h = build_hamiltonian(random_custom_spec(rng, n))
+        state = random_state(rng, n)
+        t = float(-rng.uniform(0.5, 2.0))
+        # the dense expm oracle stops at 10 sites; at 11 the exact eigen route stands in
+        if n < 11:
+            expected = dense_expm_evolve(h, state, t)
+        else:
+            expected = Propagator(h, method="eigen").evolve(state, t)
+        lazy = Propagator(h, method="krylov").evolve(state, t)
+        assert np.linalg.norm(lazy.amplitudes - expected.amplitudes) < 1e-9
+
+
+def test_krylov_shrinks_the_step_when_the_full_basis_fails(monkeypatch):
+    rng = np.random.default_rng(14)
+    h = build_hamiltonian(random_custom_spec(rng, 7))
+    state = random_state(rng, 7)
+    calls = _count_applies(monkeypatch)
+    for t in (4.0, -4.0):
+        lazy = Propagator(h, method="krylov", max_subspace=8).evolve(state, t)
+        reference = dense_expm_evolve(h, state, t)
+        assert np.linalg.norm(lazy.amplitudes - reference.amplitudes) < 1e-8
+    # eight vectors cannot carry t = 4 in one step, nor in a few
+    assert calls[0] > 2 * 10 * 8
+
+
+def test_krylov_gives_up_promptly(monkeypatch):
+    h = build_hamiltonian(ChainSpec(5))
+    propagator = Propagator(h, method="krylov", tolerance=1e-300, max_subspace=2)
+    calls = _count_applies(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        propagator.evolve(StateVector.zero_state(5), 1.0)
+    # the step shrinks on the first basis until it falls below t / 2^20
+    assert calls[0] == 2
+
+
+def test_krylov_stops_at_the_first_converged_basis(monkeypatch):
+    # a full 40-vector basis was built for every step before the early exit
+    propagator = Propagator(build_hamiltonian(ChainSpec(13)), method="krylov")
+    calls = _count_applies(monkeypatch)
+    propagator.evolve(StateVector.zero_state(13), matryoshka_time())
+    assert 0 < calls[0] < 40
+
+
+def test_krylov_basis_must_fit_in_memory(monkeypatch):
+    with pytest.raises(ValidationError, match="physical memory"):
+        Propagator(build_hamiltonian(ChainSpec(31)), method="krylov")
+    # 40 vectors of 2^13 complex amplitudes: exactly at the limit passes, a byte less fails
+    need = 40 * (1 << 13) * 16
+    h = build_hamiltonian(ChainSpec(13))
+    for pages, fits in ((need, True), (need - 1, False)):
+        sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(bellchain.evolve.os, "sysconf", sizes.__getitem__)
+        if fits:
+            Propagator(h, method="krylov")
+        else:
+            with pytest.raises(ValidationError):
+                Propagator(h, method="krylov")
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])

@@ -54,6 +54,15 @@ def test_letters_round_trip():
     assert string.weight == 3
 
 
+def test_masks_must_be_integers():
+    for args in ((3, 1.5, 0), (3, 0, 2.0), (3, 1, 1, 0.0), (3, "1", 0), (3.0, 0, 0)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            PauliString(*args)
+    # numpy integers are integers
+    string = PauliString(3, np.int64(3), np.int64(1), np.int64(2))
+    assert string.letters == "YXI" and string.phase == -1
+
+
 def test_single_site_constructor():
     string = PauliString.single(5, 3, "Y")
     assert string.letters == "IIYII"
