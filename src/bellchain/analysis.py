@@ -8,9 +8,7 @@ evolves for t*, and compares against the unperturbed result.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Sequence
 
 import numpy as np
@@ -70,39 +68,20 @@ class SweepResult:
     """One B3 slice of the robustness surface.
 
     ``grid`` holds (b1_ratio, b2_ratio, fidelity) rows in row-major
-    order (b1 outer, b2 inner).  ``runtime`` is wall-clock seconds for
-    the slice and is deliberately excluded from serialized artifacts
-    so identical configurations produce identical files.
+    order (b1 outer, b2 inner).
     """
 
     b3_ratio: float
     grid: tuple[tuple[float, float, float], ...] = field(repr=False)
     min_fidelity: float
-    runtime: float
 
     def mean_fidelity(self) -> float:
         return float(np.mean([row[2] for row in self.grid]))
 
 
-def _sweep_slice(args: tuple) -> SweepResult:
-    base, b3_ratio, ratios, t_star, reference_amps = args
-    start = time.perf_counter()
-    j_edge = base.lam * math.sqrt(base.n_sites - 1)
-    reference = StateVector(reference_amps)
-    rows = []
-    for b1 in ratios:
-        for b2 in ratios:
-            perturbed = ChainSpec(
-                base.n_sites,
-                base.lam,
-                base.pattern,
-                tuple(r * j_edge for r in (b1, b2, b3_ratio)),
-            )
-            propagator = Propagator(build_hamiltonian(perturbed))
-            evolved = propagator.evolve(StateVector.zero_state(base.n_sites), t_star)
-            rows.append((float(b1), float(b2), state_fidelity(reference, evolved)))
-    best = min(row[2] for row in rows)
-    return SweepResult(float(b3_ratio), tuple(rows), best, time.perf_counter() - start)
+def _evolve_zero_state(spec: ChainSpec, t: float) -> StateVector:
+    """|0..0> evolved for t under the chain ``spec`` describes."""
+    return Propagator(build_hamiltonian(spec)).evolve(StateVector.zero_state(spec.n_sites), t)
 
 
 def field_sweep(
@@ -110,13 +89,12 @@ def field_sweep(
     grid_points: int = 21,
     b3_ratios: Sequence[float] = (0.0, 0.05, 0.1),
     t_star: float | None = None,
-    workers: int = 1,
 ) -> list[SweepResult]:
     """Fidelity surface over B1/J, B2/J in [0, 0.1] per B3/J slice.
 
     The reference state is the unperturbed evolution of |000> for t*,
     so the origin fidelity is 1 by construction.  Slices come back
-    sorted by b3 ratio regardless of worker count.
+    sorted by b3 ratio, each a grid_points x grid_points surface.
     """
     if base.n_sites != 3:
         raise ValidationError("the field study is defined on the three-site chain")
@@ -131,22 +109,23 @@ def field_sweep(
         raise ValidationError("need at least one b3 ratio")
     if any(not 0.0 <= b <= 0.1 for b in ratios_b3):
         raise ValidationError("b3 ratios must lie in [0, 0.1]")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     if t_star is None:
         t_star = matryoshka_time(base.lam)
     axis = tuple(np.linspace(0.0, 0.1, grid_points))
-    reference = Propagator(build_hamiltonian(base)).evolve(
-        StateVector.zero_state(base.n_sites), t_star
-    )
-    jobs = [
-        (base, b3, axis, t_star, np.array(reference.amplitudes))
-        for b3 in sorted(ratios_b3)
-    ]
-    if workers == 1 or len(jobs) == 1:
-        return [_sweep_slice(job) for job in jobs]
-    with Pool(min(workers, len(jobs))) as pool:
-        return pool.map(_sweep_slice, jobs)
+    j_edge = base.lam * math.sqrt(base.n_sites - 1)
+    reference = _evolve_zero_state(base, t_star)
+    results = []
+    for b3 in sorted(ratios_b3):
+        rows = []
+        for b1 in axis:
+            for b2 in axis:
+                fields = tuple(r * j_edge for r in (b1, b2, b3))
+                evolved = _evolve_zero_state(
+                    ChainSpec(base.n_sites, base.lam, base.pattern, fields), t_star
+                )
+                rows.append((float(b1), float(b2), state_fidelity(reference, evolved)))
+        results.append(SweepResult(b3, tuple(rows), min(row[2] for row in rows)))
+    return results
 
 
 def sweep_to_csv(result: SweepResult, config_comment: str | None = None) -> str:
@@ -192,7 +171,4 @@ def reference_point_fidelity(
     j_edge = lam * math.sqrt(2.0)
     base = ChainSpec(3, lam)
     perturbed = ChainSpec(3, lam, fields_b=tuple(scale * r * j_edge for r in REFERENCE_FIELD_RATIOS))
-    start = StateVector.zero_state(3)
-    ideal = Propagator(build_hamiltonian(base)).evolve(start, t_star)
-    actual = Propagator(build_hamiltonian(perturbed)).evolve(start, t_star)
-    return state_fidelity(ideal, actual)
+    return state_fidelity(_evolve_zero_state(base, t_star), _evolve_zero_state(perturbed, t_star))

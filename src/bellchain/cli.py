@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -154,10 +154,13 @@ def _config_comment(config: dict) -> str:
     return "config: " + " ".join(parts)
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def _emit_json(payload: dict, out: str | None, echo: Sequence[str] = ()) -> None:
+    """Write the payload to ``out`` and print the echo lines, or print the payload."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
+        for line in echo:
+            print(line)
     else:
         sys.stdout.write(text)
 
@@ -195,9 +198,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         },
         "verification": report.to_json_dict(),
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        print(f"global fidelity = {report.global_fidelity:.12g} -> {args.out}")
+    echo = [f"global fidelity = {report.global_fidelity:.12g} -> {args.out}"]
+    _emit_json(payload, args.out, echo)
     return 0
 
 
@@ -205,14 +207,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _check_finite("--min-fidelity", args.min_fidelity)
     _, report, config = _evolve_and_verify(args)
     payload = {"config": config, "verification": report.to_json_dict()}
-    _emit_json(payload, args.out)
-    if args.out:
-        for pair in report.pair_reports:
-            print(
-                f"pair {pair.sites}: label {pair.label.value} "
-                f"concurrence {pair.concurrence:.12g} fidelity {pair.bell_fidelity:.12g}"
-            )
-        print(f"global fidelity = {report.global_fidelity:.12g}")
+    echo = [
+        f"pair {pair.sites}: label {pair.label.value} "
+        f"concurrence {pair.concurrence:.12g} fidelity {pair.bell_fidelity:.12g}"
+        for pair in report.pair_reports
+    ]
+    _emit_json(payload, args.out, echo + [f"global fidelity = {report.global_fidelity:.12g}"])
     if report.global_fidelity < args.min_fidelity:
         print(f"verification failed: below {args.min_fidelity}", file=sys.stderr)
         return 3
@@ -228,14 +228,14 @@ def _cmd_flux_check(args: argparse.Namespace) -> int:
         "config": _spec_config_dict(spec, t_star, {"command": "flux-check", "t": t}),
         "matches": [m.to_json_dict() for m in matches],
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        for m in matches:
-            sites = ",".join(str(s) for s in m.z_sites) if m.z_sites else "-"
-            print(
-                f"pair {m.pair_index} {m.kind}: Z[{sites}] sign {m.sign} "
-                f"residual {m.residual:.3e} matched {m.matched}"
-            )
+    echo = []
+    for m in matches:
+        sites = ",".join(str(s) for s in m.z_sites) if m.z_sites else "-"
+        echo.append(
+            f"pair {m.pair_index} {m.kind}: Z[{sites}] sign {m.sign} "
+            f"residual {m.residual:.3e} matched {m.matched}"
+        )
+    _emit_json(payload, args.out, echo)
     return 0
 
 
@@ -249,13 +249,12 @@ def _cmd_conveyor(args: argparse.Namespace) -> int:
         ),
         "rounds": [r.to_json_dict() for r in records],
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        for r in records:
-            print(
-                f"round {r.round}: {r.label.value} concurrence {r.extraction_concurrence:.12g} "
-                f"internal {r.chain_class.value} ({r.internal_state_fidelity:.12g})"
-            )
+    echo = [
+        f"round {r.round}: {r.label.value} concurrence {r.extraction_concurrence:.12g} "
+        f"internal {r.chain_class.value} ({r.internal_state_fidelity:.12g})"
+        for r in records
+    ]
+    _emit_json(payload, args.out, echo)
     return 0
 
 
@@ -267,21 +266,9 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
         "config": _spec_config_dict(spec, t_star, {"command": "ghz"}),
         "result": result.to_json_dict(),
     }
-    _emit_json(payload, args.out)
-    if args.out:
-        print(f"ghz fidelity = {result.ghz_fidelity:.12g} phase = {result.relative_phase:.12g}")
+    echo = [f"ghz fidelity = {result.ghz_fidelity:.12g} phase = {result.relative_phase:.12g}"]
+    _emit_json(payload, args.out, echo)
     return 0
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("BELLCHAIN_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValidationError(f"BELLCHAIN_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValidationError(f"BELLCHAIN_WORKERS must be >= 1, got {workers}")
-    return workers
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -291,10 +278,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ratios = tuple(float(piece) for piece in args.b3.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse b3 ratio list {args.b3!r}") from None
-    results = field_sweep(spec, args.grid, ratios, t_star, workers=_worker_count())
+    results = field_sweep(spec, args.grid, ratios, t_star)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for result in results:
         config = _spec_config_dict(
             spec,
@@ -303,7 +289,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         path = out_dir / f"{args.prefix}b3_{result.b3_ratio:g}.csv"
         path.write_text(sweep_to_csv(result, _config_comment(config)), encoding="utf-8")
-        written.append(path)
         print(f"b3 {result.b3_ratio:g}: min fidelity {result.min_fidelity:.12g} -> {path}")
     summary = {
         "config": _spec_config_dict(
@@ -312,8 +297,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "summary": sweep_summary(results),
     }
     summary_path = out_dir / f"{args.prefix}summary.json"
-    _emit_json(summary, str(summary_path))
-    print(f"summary -> {summary_path}")
+    _emit_json(summary, str(summary_path), [f"summary -> {summary_path}"])
     return 0
 
 

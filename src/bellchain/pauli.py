@@ -108,7 +108,7 @@ class PauliString:
     @classmethod
     def single(cls, n_sites: int, site: int, letter: str, phase: complex = 1.0) -> "PauliString":
         """A single non-identity letter on one site of an N-site chain."""
-        _check_site(site, n_sites)
+        site = _check_site(site, n_sites)
         letters = ["I"] * n_sites
         letters[site - 1] = letter
         return cls.from_letters(letters, phase)
@@ -249,9 +249,15 @@ def _check_chain_length(n_sites: int) -> None:
         raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
 
 
-def _check_site(site: int, n_sites: int) -> None:
+def _check_site(site: int, n_sites: int) -> int:
+    """The site as a plain int, checked to be an integer in 1..n_sites."""
+    try:
+        site = operator.index(site)
+    except TypeError:
+        raise ValidationError(f"site must be an integer, got {site!r}") from None
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} outside chain 1..{n_sites}")
+    return site
 
 
 def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
@@ -291,7 +297,7 @@ def pauli_mul(left: PauliString, right: PauliString) -> PauliString:
 
 def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     """Apply a single-qubit unitary to one site's tensor factor."""
-    _check_site(site, state.n_sites)
+    site = _check_site(site, state.n_sites)
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise ValidationError(f"gate must be 2x2, got {gate.shape}")
@@ -357,13 +363,11 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
 
 def reduced_density(state: StateVector, sites: Sequence[int]) -> DensityMatrix:
     """Partial trace down to 1 or 2 sites of a pure chain state."""
-    sites = tuple(int(s) for s in sites)
+    sites = tuple(_check_site(s, state.n_sites) for s in sites)
     if len(sites) not in (1, 2):
         raise ValidationError("reduced_density supports 1 or 2 sites")
     if len(set(sites)) != len(sites):
         raise ValidationError(f"duplicate sites in {sites}")
-    for s in sites:
-        _check_site(s, state.n_sites)
     return DensityMatrix(sites, _partial_trace(state.amplitudes, state.n_sites, sites))
 
 

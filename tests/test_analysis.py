@@ -9,6 +9,7 @@ from bellchain import (
     StateVector,
     ValidationError,
     bell_state,
+    build_hamiltonian,
     concurrence,
     field_sweep,
     purity,
@@ -18,6 +19,7 @@ from bellchain import (
     sweep_summary,
     sweep_to_csv,
 )
+from bellchain.oracle import dense_expm_evolve
 
 
 def bell_rho(label: BellLabel) -> np.ndarray:
@@ -99,8 +101,6 @@ def test_field_sweep_validations():
         field_sweep(ChainSpec(3), b3_ratios=(0.2,))
     with pytest.raises(ValidationError):
         field_sweep(ChainSpec(3), b3_ratios=())
-    with pytest.raises(ValidationError):
-        field_sweep(ChainSpec(3), workers=0)
 
 
 def test_field_sweep_origin_and_ordering():
@@ -120,12 +120,6 @@ def test_field_sweep_origin_and_ordering():
     )
 
 
-def test_field_sweep_worker_pool_output_identical():
-    single = field_sweep(ChainSpec(3), grid_points=4, b3_ratios=(0.0, 0.05))
-    pooled = field_sweep(ChainSpec(3), grid_points=4, b3_ratios=(0.0, 0.05), workers=2)
-    assert [sweep_to_csv(r) for r in single] == [sweep_to_csv(r) for r in pooled]
-
-
 def test_sweep_minima_match_oracle(oracle_cases):
     reference = oracle_cases["sweep_minima_21"]["reference_value"]
     results = field_sweep(ChainSpec(3))
@@ -133,6 +127,27 @@ def test_sweep_minima_match_oracle(oracle_cases):
         assert result.min_fidelity == pytest.approx(
             reference[f"{result.b3_ratio:g}"], abs=1e-10
         )
+
+
+def _oracle_fidelity(lam: float, t: float, ratios: tuple[float, ...]) -> float:
+    """Fidelity from the dense expm oracle, fields as ratios of lam * sqrt(2)."""
+    zero = StateVector.zero_state(3)
+    fields = tuple(r * lam * np.sqrt(2.0) for r in ratios)
+    ideal = dense_expm_evolve(build_hamiltonian(ChainSpec(3, lam)), zero, t)
+    actual = dense_expm_evolve(build_hamiltonian(ChainSpec(3, lam, fields_b=fields)), zero, t)
+    return abs(np.vdot(ideal.amplitudes, actual.amplitudes))
+
+
+def test_study_matches_oracle_away_from_the_defaults():
+    results = field_sweep(ChainSpec(3, 2.0), grid_points=3, b3_ratios=(0.0, 0.1), t_star=0.3)
+    assert [r.b3_ratio for r in results] == [0.0, 0.1]
+    for result in results:
+        assert len(result.grid) == 9
+        for b1, b2, fid in result.grid:
+            expected = _oracle_fidelity(2.0, 0.3, (b1, b2, result.b3_ratio))
+            assert fid == pytest.approx(expected, abs=1e-12)
+    expected = _oracle_fidelity(2.0, 0.3, tuple(1.3 * r for r in REFERENCE_FIELD_RATIOS))
+    assert reference_point_fidelity(1.3, 2.0, 0.3) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sweep_to_csv_format():

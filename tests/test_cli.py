@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import subprocess
 import sys
 
@@ -62,6 +63,45 @@ def test_byte_identical_outputs(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+_OUT_ECHO_N5 = {
+    "generate": "global fidelity = 1 -> {out}\n",
+    "verify": (
+        "pair (1, 5): label psi+ concurrence 1 fidelity 1\n"
+        "pair (2, 4): label psi- concurrence 1 fidelity 1\n"
+        "global fidelity = 1\n"
+    ),
+    "flux-check": (
+        "pair 1 XX: Z[1,2,3,4] sign 1 residual R matched True\n"
+        "pair 1 YY: Z[2,3,4,5] sign 1 residual R matched True\n"
+        "pair 2 XX: Z[3,4] sign -1 residual R matched True\n"
+        "pair 2 YY: Z[2,3] sign -1 residual R matched True\n"
+    ),
+    "conveyor": (
+        "round 1: psi+ concurrence 1 internal matryoshka-like (1)\n"
+        "round 2: psi- concurrence 1 internal z-basis-separable (1)\n"
+        "round 3: psi+ concurrence 1 internal matryoshka-like (1)\n"
+        "round 4: psi- concurrence 1 internal z-basis-separable (1)\n"
+    ),
+    "ghz": "ghz fidelity = 1 phase = 3.14159265359\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_ECHO_N5))
+def test_out_echo_stdout(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    assert main([command, "--n", "5", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    # flux-check residuals are rounding noise: check their size, pin the rest
+    residuals = re.findall(r"residual (\S+)", stdout)
+    assert all(float(r) < 1e-12 for r in residuals)
+    assert re.sub(r"residual \S+", "residual R", stdout) == _OUT_ECHO_N5[command].format(
+        out=out
+    )
+    assert json.loads(out.read_text())["config"]["command"] == command
+    assert main([command, "--n", "5"]) == 0
+    json.loads(capsys.readouterr().out)  # without --out, stdout is the JSON alone
 
 
 def test_generate_and_verify_share_the_verification(capsys):
@@ -236,12 +276,11 @@ def test_reference_point_json(tmp_path, capsys):
     assert payload["fidelity"] == pytest.approx(0.996888805685, abs=1e-10)
 
 
-def test_sweep_files_and_determinism(tmp_path, capsys, monkeypatch):
+def test_sweep_files_and_determinism(tmp_path, capsys):
     first = tmp_path / "first"
     second = tmp_path / "second"
     argv = ["sweep", "--n", "3", "--grid", "3", "--b3", "0,0.1"]
     assert main(argv + ["--out-dir", str(first)]) == 0
-    monkeypatch.setenv("BELLCHAIN_WORKERS", "2")
     assert main(argv + ["--out-dir", str(second)]) == 0
     capsys.readouterr()
     for name in ("sweep_b3_0.csv", "sweep_b3_0.1.csv", "sweep_summary.json"):
@@ -254,14 +293,6 @@ def test_sweep_files_and_determinism(tmp_path, capsys, monkeypatch):
     summary = json.loads((first / "sweep_summary.json").read_text())
     assert summary["summary"]["min_fidelity"] > 0.99
     assert len(summary["summary"]["slices"]) == 2
-
-
-def test_sweep_rejects_bad_worker_env(monkeypatch, capsys):
-    monkeypatch.setenv("BELLCHAIN_WORKERS", "many")
-    code = main(["sweep", "--n", "3", "--grid", "2", "--b3", "0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "BELLCHAIN_WORKERS" in captured.err
 
 
 def test_sweep_rejects_bad_b3_list(capsys, tmp_path):

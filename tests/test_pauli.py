@@ -232,6 +232,24 @@ def test_reduced_density_validates_sites():
         reduced_density(state, (1, 2, 3))
 
 
+_SITE_CALLS = {
+    "reduced_density": lambda site: reduced_density(StateVector.zero_state(3), [site]).matrix,
+    "gate_apply": lambda site: gate_apply(StateVector.zero_state(3), site, X).amplitudes,
+    "PauliString.single": lambda site: PauliString.single(3, site, "X"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SITE_CALLS))
+def test_sites_must_be_integers(call):
+    run = _SITE_CALLS[call]
+    for bad in (1.7, 1.5, 2.0, "1", None):
+        with pytest.raises(ValidationError, match="integer"):
+            run(bad)
+    expected = run(2)
+    for good in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert np.all(run(good) == expected)
+
+
 def test_density_matrix_validates():
     good = DensityMatrix((1,), np.eye(2, dtype=complex) / 2)
     assert good.sites == (1,)
