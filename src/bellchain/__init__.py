@@ -35,13 +35,7 @@ from .errors import (
     PairNotPureError,
     ValidationError,
 )
-from .evolve import (
-    Propagator,
-    all_pauli_strings,
-    heisenberg_evolve,
-    matryoshka_time,
-    pauli_coefficients,
-)
+from .evolve import Propagator, heisenberg_evolve, matryoshka_time
 from .matryoshka import (
     BellLabel,
     FluxMatch,
@@ -106,7 +100,6 @@ __all__ = [
     "SweepResult",
     "ValidationError",
     "VerificationReport",
-    "all_pauli_strings",
     "bell_product_amplitudes",
     "bell_schedule",
     "bell_state",
@@ -128,7 +121,6 @@ __all__ = [
     "matryoshka_time",
     "mirror_pair_sign",
     "pauli_apply",
-    "pauli_coefficients",
     "pauli_mul",
     "perfect_transfer_couplings",
     "purity",

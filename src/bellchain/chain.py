@@ -229,19 +229,23 @@ def save_chain_config(spec: ChainSpec, path: str) -> None:
 def load_chain_config(path: str) -> ChainSpec:
     """Parse the key = value grammar written by save_chain_config."""
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
     if "n_sites" not in raw:
         raise ValidationError(f"{path}: missing required key 'n_sites'")
     try:

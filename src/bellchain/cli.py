@@ -4,8 +4,9 @@ Every artifact embeds the fully resolved configuration (a ``config``
 object in JSON files, a leading comment line in CSV files) and uses
 fixed float formatting, so identical invocations produce byte-identical
 outputs.  Exit codes: 0 success, 2 validation problem (including
-non-finite numbers), 3 numerical contract violation (non-convergence,
-impure boundary pair, failed linear algebra).
+non-finite numbers and unreadable or unwritable files), 3 numerical
+contract violation (non-convergence, a non-finite result, impure
+boundary pair, failed linear algebra).
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BellchainError, np.linalg.LinAlgError) as exc:

@@ -36,19 +36,19 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .chain import HamiltonianTerms, _check_finite
-from .errors import ConvergenceError, DimensionMismatchError, ValidationError
+from .errors import BellchainError, ConvergenceError, DimensionMismatchError, ValidationError
 from .pauli import PauliString, StateVector, _mask_action
 
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
-_EXHAUSTIVE_MAX_SITES = 5
 _MAX_SUBSTEPS = 1 << 20
+_NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large for double precision"
 
 
 def matryoshka_time(lam: float = 1.0) -> float:
@@ -70,10 +70,12 @@ class Propagator:
         "eigen", "krylov", or "auto" (eigen up to 12 sites, Krylov
         beyond).  The eigen method refuses chains longer than 12 sites.
     tolerance, max_subspace : float, int
-        Krylov controls: per-step error target and the Lanczos
-        basis-size ceiling.  Ignored by the eigen method.  The Krylov
-        method refuses a basis of ``max_subspace * 2^N * 16`` bytes
-        larger than physical memory.
+        Krylov controls: the error target of each step and the Lanczos
+        basis-size ceiling.  Ignored by the eigen method.  ``tolerance``
+        bounds each step's a-posteriori error estimate, not the whole
+        propagation: a run of many steps can end further from the exact
+        result than ``tolerance``.  The Krylov method refuses a basis of
+        ``max_subspace * 2^N * 16`` bytes larger than physical memory.
 
     The eigen method stores one ``(indices, eigenvalues, eigenvectors)``
     triple per Z-parity block (see :func:`_eigen_blocks`) and evolves
@@ -118,7 +120,11 @@ class Propagator:
         self._blocks = _eigen_blocks(hamiltonian) if method == "eigen" else []
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
-        """exp(-iHt)|v>, deterministic and norm-preserving."""
+        """exp(-iHt)|v>, deterministic and norm-preserving.
+
+        Raises BellchainError when the result is not finite, which happens
+        when the Hamiltonian or the time overflows double precision.
+        """
         if state.n_sites != self.hamiltonian.n_sites:
             raise DimensionMismatchError(
                 f"state has {state.n_sites} sites, Hamiltonian {self.hamiltonian.n_sites}"
@@ -136,6 +142,8 @@ class Propagator:
                 self.tolerance,
                 self.max_subspace,
             )
+        if not np.isfinite(amps).all():
+            raise BellchainError(_NOT_FINITE)
         return StateVector._trusted(state.n_sites, amps)
 
 
@@ -217,6 +225,8 @@ def _lanczos_step(
             w -= h @ basis[: j + 1]
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
+        if not math.isfinite(alpha + beta):
+            raise BellchainError(_NOT_FINITE)
         w_small, q_small = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
         coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
         if beta < 1e-14 * max(1.0, abs(alpha)):
@@ -241,57 +251,11 @@ def _lanczos_step(
     return norm0 * (coefficients @ basis[:m]), dt
 
 
-def all_pauli_strings(n_sites: int) -> list[PauliString]:
-    """All 4^N phase-free strings, ordered with site 1 varying fastest."""
-    strings = []
-    for code in range(4**n_sites):
-        letters = []
-        rem = code
-        for _ in range(n_sites):
-            letters.append("IXYZ"[rem % 4])
-            rem //= 4
-        strings.append(PauliString.from_letters("".join(letters)))
-    return strings
-
-
-def pauli_coefficients(
-    matrix: np.ndarray, candidates: Sequence[PauliString]
-) -> list[tuple[complex, PauliString]]:
-    """Project a dense operator on candidate strings: tr(P^dag M)/2^N.
-
-    Entries with magnitude below 1e-12 are dropped; the rest come out
-    largest first with letter order breaking ties.
-    """
-    dim = matrix.shape[0]
-    cols = np.arange(dim, dtype=np.int64)
-    out = []
-    for string in candidates:
-        if (1 << string.n_sites) != dim:
-            raise DimensionMismatchError(
-                f"candidate on {string.n_sites} sites cannot project a {dim}x{dim} operator"
-            )
-        rows, values = _mask_action(string, cols)
-        coefficient = complex(np.sum(np.conj(values) * matrix[rows, cols]) / dim)
-        if abs(coefficient) > 1e-12:
-            out.append((coefficient, string))
-    out.sort(key=lambda item: (-abs(item[0]), item[1].letters))
-    return out
-
-
-def heisenberg_evolve(
-    hamiltonian: HamiltonianTerms,
-    pauli: PauliString,
-    t: float,
-    candidates: Sequence[PauliString] | None = None,
-) -> tuple[np.ndarray, list[tuple[complex, PauliString]]]:
-    """U(t)^dag P U(t) as a dense matrix plus its Pauli decomposition.
+def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: float) -> np.ndarray:
+    """U(t)^dag P U(t) as a dense 2^N x 2^N matrix, for up to 8 sites.
 
     U(t) is assembled block by block from the same parity-block
     eigendecomposition that :class:`Propagator` uses.
-
-    Without an explicit candidate set the decomposition runs over all
-    4^N strings, which is only allowed up to 5 sites; longer chains
-    must pass the strings worth projecting on.
     """
     n = hamiltonian.n_sites
     if n > _DENSE_OPERATOR_MAX_SITES:
@@ -301,15 +265,7 @@ def heisenberg_evolve(
     if pauli.n_sites != n:
         raise DimensionMismatchError("operator length does not match the Hamiltonian")
     _check_finite("time", t)
-    if candidates is None:
-        if n > _EXHAUSTIVE_MAX_SITES:
-            raise ValidationError(
-                f"exhaustive decomposition stops at {_EXHAUSTIVE_MAX_SITES} sites; "
-                f"pass an explicit candidate set"
-            )
-        candidates = all_pauli_strings(n)
     u = np.zeros((1 << n, 1 << n), dtype=complex)
     for idx, w, v in _eigen_blocks(hamiltonian):
         u[np.ix_(idx, idx)] = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
-    evolved = u.conj().T @ pauli.dense() @ u
-    return evolved, pauli_coefficients(evolved, candidates)
+    return u.conj().T @ pauli.dense() @ u

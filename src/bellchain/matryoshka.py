@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .analysis import concurrence, purity
 from .chain import ChainSpec, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
-from .pauli import PauliString, StateVector, _check_chain_length, reduced_density
+from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -272,7 +273,7 @@ class FluxMatch:
     """Outcome of matching one evolved pair operator to a signed Z-string.
 
     ``residual`` is the operator 2-norm distance to sign * Z-string
-    when a candidate exists; with no Z component at all it falls back
+    when a Z component exists; with no Z component at all it falls back
     to the norm of the evolved operator itself and ``z_sites`` is None.
     """
 
@@ -300,48 +301,54 @@ def _mask_sites(mask: int) -> tuple[int, ...]:
     return tuple(p + 1 for p in range(mask.bit_length()) if (mask >> p) & 1)
 
 
+def _hermitian_norm(matrix: np.ndarray) -> float:
+    """Operator 2-norm of a Hermitian matrix: its largest |eigenvalue|."""
+    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+
+
 def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
     """Evolve each symmetric pair operator and match it to a Z-string.
 
     For every i = 1..(N-1)/2 and kind XX, YY the operator on sites
     (i, N-i+1), Heisenberg-evolved under the chain ``spec`` describes,
-    is projected on all diagonal Z-only strings.  A match requires the
-    leading coefficient magnitude to reach 1 - 1e-6 with every other
-    coefficient below 1e-6.
+    is projected on every Z-only string except the identity.  Those
+    coefficients tr(Z_z M)/2^N depend only on the diagonal of M, so one
+    Walsh-Hadamard transform of the diagonal gives all of them at once.
+    The largest magnitude wins; magnitudes within ``_TIE_TOL`` of it are
+    ties, which go to the smallest letter string.  A match requires the
+    winning magnitude to reach 1 - 1e-6 with every other coefficient
+    below 1e-6.
     """
     n_sites = spec.n_sites
-    if n_sites > 8:
-        raise ValidationError("flux_check relies on dense operators and stops at 8 sites")
     hamiltonian = build_hamiltonian(spec)
-    z_strings = [PauliString(n_sites, 0, mask) for mask in range(1, 1 << n_sites)]
-    out = []
+    evolved = {}
     for i in range(1, (n_sites - 1) // 2 + 1):
-        mirror = n_sites - i + 1
         for letter in ("X", "Y"):
             letters = ["I"] * n_sites
-            letters[i - 1] = letter
-            letters[mirror - 1] = letter
-            evolved, coefficients = heisenberg_evolve(
-                hamiltonian, PauliString.from_letters(letters), t, candidates=z_strings
+            letters[i - 1] = letters[n_sites - i] = letter
+            evolved[i, letter * 2] = heisenberg_evolve(
+                hamiltonian, PauliString.from_letters(letters), t
             )
-            if not coefficients:
-                out.append(
-                    FluxMatch(
-                        i, letter * 2, None, None, 0.0,
-                        float(np.linalg.norm(evolved, 2)), False,
-                    )
-                )
-                continue
-            best_coeff, best_string = coefficients[0]
-            value = float(np.real(best_coeff))
-            sign = 1 if value > 0 else -1
-            others_small = all(abs(c) <= _MATCH_COEFF_TOL for c, _ in coefficients[1:])
-            matched = abs(best_coeff) >= 1.0 - _MATCH_COEFF_TOL and others_small
-            residual = float(np.linalg.norm(evolved - sign * best_string.dense(), 2))
-            out.append(
-                FluxMatch(
-                    i, letter * 2, _mask_sites(best_string.z_mask), sign,
-                    value, residual, matched,
-                )
-            )
+    # built only after heisenberg_evolve has checked the size: it has 4^N
+    # entries, and row z is the diagonal of the Z-string with mask z
+    walsh = scipy.linalg.hadamard(1 << n_sites)
+    out = []
+    for (i, kind), matrix in evolved.items():
+        spectrum = walsh @ matrix.diagonal().real / walsh.shape[0]
+        magnitudes = np.abs(spectrum)
+        magnitudes[0] = 0.0  # the identity is not a Z-string
+        top = magnitudes.max()
+        if top <= 1e-12:
+            out.append(FluxMatch(i, kind, None, None, 0.0, _hermitian_norm(matrix), False))
+            continue
+        mask = min(
+            (int(m) for m in np.flatnonzero(magnitudes >= top - _TIE_TOL)),
+            key=lambda m: PauliString(n_sites, 0, m).letters,
+        )
+        value = float(spectrum[mask])
+        sign = 1 if value > 0 else -1
+        others_small = np.delete(magnitudes, mask).max() <= _MATCH_COEFF_TOL
+        matched = bool(magnitudes[mask] >= 1.0 - _MATCH_COEFF_TOL and others_small)
+        residual = _hermitian_norm(matrix - sign * np.diag(walsh[mask]))
+        out.append(FluxMatch(i, kind, _mask_sites(mask), sign, value, residual, matched))
     return out

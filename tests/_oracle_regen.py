@@ -381,7 +381,12 @@ def build_reports() -> list:
         reference_point_fidelity,
     )
     from bellchain.matryoshka import closest_bell
-    from bellchain.oracle import OracleReport, compare_states, dense_pauli
+    from bellchain.oracle import (
+        OracleReport,
+        compare_states,
+        dense_pauli,
+        exhaustive_pauli_decompose,
+    )
 
     t_star = matryoshka_time(1.0)
     reports = []
@@ -438,8 +443,10 @@ def build_reports() -> list:
         ("n3_heisenberg_yy", {1: "Y", 3: "Y"}, "YIY"),
     ):
         ref_terms = heisenberg_decomposition_ref(3, letters, T_STAR)
-        _, coefficients = heisenberg_evolve(
-            build_hamiltonian(ChainSpec(3)), PauliString.from_letters(word), t_star
+        coefficients = exhaustive_pauli_decompose(
+            heisenberg_evolve(
+                build_hamiltonian(ChainSpec(3)), PauliString.from_letters(word), t_star
+            )
         )
         main_terms = [
             {"letters": string.letters, "re": c.real, "im": c.imag}

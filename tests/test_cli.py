@@ -206,6 +206,44 @@ def test_non_finite_input_exits_two(capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghz", "--n", "3", "--lam", "1e308"],
+        ["reference-point", "--lam", "1e308", "--out", "{tmp}/ref.json"],
+        ["sweep", "--n", "3", "--grid", "2", "--b3", "0", "--lam", "1e308", "--out-dir", "{tmp}"],
+        ["verify", "--n", "13", "--lam", "1e308", "--t-star", "0.5", "--out", "{tmp}/v.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_result_exits_three(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert "overflowed" in captured.err
+    assert "nan" not in captured.out.lower()
+    for path in tmp_path.rglob("*"):
+        assert "nan" not in path.read_text().lower(), path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--config", "{tmp}/missing.cfg"],
+        ["verify", "--config", "{tmp}"],
+        ["verify", "--config", "{tmp}/latin1.cfg"],
+        ["verify", "--n", "5", "--out", "{tmp}/missing/x.json"],
+        ["sweep", "--n", "3", "--grid", "2", "--out-dir", "{tmp}/plain.txt"],
+    ],
+    ids=["missing-config", "directory-config", "undecodable-config", "missing-out-dir", "out-dir-is-file"],
+)
+def test_file_errors_exit_two(tmp_path, capsys, argv):
+    (tmp_path / "latin1.cfg").write_bytes(b"n_sites = 3\nlambda = 1.0 # \xe9\n")
+    (tmp_path / "plain.txt").write_text("not a directory\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_linear_algebra_failure_exits_three(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bellchain import (
     BellLabel,
     ChainSpec,
     InitialState,
     MatryoshkaSchedule,
+    Pattern,
+    PauliString,
     Propagator,
     StateVector,
     ValidationError,
@@ -20,6 +25,8 @@ from bellchain import (
     mirror_pair_sign,
     verify_matryoshka,
 )
+import bellchain.evolve
+from bellchain.oracle import dense_hamiltonian, dense_pauli
 from _helpers import unpack_complex
 
 SQ2 = 1 / np.sqrt(2)
@@ -210,9 +217,80 @@ def test_flux_check_off_protocol_time_does_not_match():
     assert not all(m.matched for m in matches)
 
 
-def test_flux_check_site_cap():
-    with pytest.raises(ValidationError):
-        flux_check(ChainSpec(9, 1.0), 0.1)
+def test_flux_check_site_cap(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an operator-sized array was built")
+
+    monkeypatch.setattr(scipy.linalg, "hadamard", unreachable)
+    monkeypatch.setattr(bellchain.evolve, "_eigen_blocks", unreachable)
+    for n in (9, 31):
+        with pytest.raises(ValidationError):
+            flux_check(ChainSpec(n, 1.0), 0.1)
+
+
+@functools.lru_cache
+def _dense_z_strings(n: int) -> list[np.ndarray]:
+    """Kronecker-built Z-strings for masks 1 .. 2^N - 1."""
+    return [dense_pauli(PauliString(n, 0, mask)) for mask in range(1, 1 << n)]
+
+
+def _dense_flux_reference(spec: ChainSpec, t: float) -> list[tuple]:
+    """(z_sites, sign, matched, coefficient, residual) per pair operator,
+    from expm of the Kronecker-built Hamiltonian and explicit traces."""
+    n = spec.n_sites
+    u = scipy.linalg.expm(-1j * t * dense_hamiltonian(build_hamiltonian(spec)))
+    z_strings = _dense_z_strings(n)
+    out = []
+    for i in range(1, (n - 1) // 2 + 1):
+        for letter in ("X", "Y"):
+            letters = ["I"] * n
+            letters[i - 1] = letters[n - i] = letter
+            m = u.conj().T @ dense_pauli(PauliString.from_letters(letters)) @ u
+            coefficients = np.array(
+                [np.einsum("ij,ji->", z, m).real / (1 << n) for z in z_strings]
+            )
+            order = np.argsort(-np.abs(coefficients))
+            best, second = np.abs(coefficients[order[:2]])
+            if best <= 1e-12:
+                out.append((None, None, False, 0.0, np.linalg.norm(m, 2)))
+                continue
+            assert best - second > 1e-6, "a tied case cannot tell the routes apart"
+            mask = int(order[0]) + 1
+            sign = 1 if coefficients[order[0]] > 0 else -1
+            z_sites = tuple(p + 1 for p in range(n) if (mask >> p) & 1)
+            matched = best >= 1 - 1e-6 and second <= 1e-6
+            residual = np.linalg.norm(m - sign * z_strings[mask - 1], 2)
+            out.append((z_sites, sign, matched, coefficients[order[0]], residual))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("chain", ["matryoshka", "perfect-transfer", "fields"])
+def test_flux_check_matches_dense_route(n, chain):
+    fields = tuple(np.random.default_rng(n).uniform(-0.05, 0.05, size=n))
+    spec = {
+        "matryoshka": ChainSpec(n),
+        "perfect-transfer": ChainSpec(n, pattern=Pattern.PERFECT_TRANSFER),
+        "fields": ChainSpec(n, fields_b=fields),
+    }[chain]
+    t_star = matryoshka_time()
+    for t in (0.0, t_star / 2, 0.3, t_star):
+        matches = flux_check(spec, t)
+        reference = _dense_flux_reference(spec, t)
+        assert len(matches) == len(reference)
+        for match, (z_sites, sign, matched, coefficient, residual) in zip(matches, reference):
+            assert (match.z_sites, match.sign, match.matched) == (z_sites, sign, matched)
+            assert match.coefficient == pytest.approx(coefficient, abs=1e-12)
+            assert match.residual == pytest.approx(residual, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1.3, 1.85])
+def test_flux_check_ties_go_to_the_smallest_letter_string(t):
+    # pair 2 of this chain has two mirror-image Z-strings, Z[1,3,4,7] and
+    # Z[1,4,5,7], whose coefficients differ only by rounding
+    spec = ChainSpec(7, pattern=Pattern.PERFECT_TRANSFER)
+    pair = [m for m in flux_check(spec, t) if m.pair_index == 2]
+    assert [m.z_sites for m in pair] == [(1, 4, 5, 7), (1, 4, 5, 7)]
 
 
 def test_flux_match_serializes():
