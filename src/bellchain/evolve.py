@@ -225,7 +225,7 @@ def _lanczos_step(
             w -= h @ basis[: j + 1]
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
-        if not math.isfinite(alpha + beta):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise BellchainError(_NOT_FINITE)
         w_small, q_small = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
         coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
@@ -255,7 +255,8 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
     """U(t)^dag P U(t) as a dense 2^N x 2^N matrix, for up to 8 sites.
 
     U(t) is assembled block by block from the same parity-block
-    eigendecomposition that :class:`Propagator` uses.
+    eigendecomposition that :class:`Propagator` uses.  Raises
+    BellchainError when the result is not finite.
     """
     n = hamiltonian.n_sites
     if n > _DENSE_OPERATOR_MAX_SITES:
@@ -268,4 +269,7 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
     u = np.zeros((1 << n, 1 << n), dtype=complex)
     for idx, w, v in _eigen_blocks(hamiltonian):
         u[np.ix_(idx, idx)] = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
-    return u.conj().T @ pauli.dense() @ u
+    evolved = u.conj().T @ pauli.dense() @ u
+    if not np.isfinite(evolved).all():
+        raise BellchainError(_NOT_FINITE)
+    return evolved

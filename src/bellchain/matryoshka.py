@@ -314,10 +314,10 @@ def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
     is projected on every Z-only string except the identity.  Those
     coefficients tr(Z_z M)/2^N depend only on the diagonal of M, so one
     Walsh-Hadamard transform of the diagonal gives all of them at once.
-    The largest magnitude wins; magnitudes within ``_TIE_TOL`` of it are
-    ties, which go to the smallest letter string.  A match requires the
-    winning magnitude to reach 1 - 1e-6 with every other coefficient
-    below 1e-6.
+    The largest magnitude wins; magnitudes within a relative ``_TIE_TOL``
+    of it are ties, which go to the smallest letter string.  A match
+    requires the winning magnitude to reach 1 - 1e-6 with every other
+    coefficient below 1e-6.
     """
     n_sites = spec.n_sites
     hamiltonian = build_hamiltonian(spec)
@@ -336,13 +336,13 @@ def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
     for (i, kind), matrix in evolved.items():
         spectrum = walsh @ matrix.diagonal().real / walsh.shape[0]
         magnitudes = np.abs(spectrum)
-        magnitudes[0] = 0.0  # the identity is not a Z-string
+        magnitudes[0] = -1.0  # the identity is not a Z-string: never a candidate
         top = magnitudes.max()
         if top <= 1e-12:
             out.append(FluxMatch(i, kind, None, None, 0.0, _hermitian_norm(matrix), False))
             continue
         mask = min(
-            (int(m) for m in np.flatnonzero(magnitudes >= top - _TIE_TOL)),
+            (int(m) for m in np.flatnonzero(magnitudes >= top * (1.0 - _TIE_TOL))),
             key=lambda m: PauliString(n_sites, 0, m).letters,
         )
         value = float(spectrum[mask])

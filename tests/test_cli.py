@@ -214,6 +214,7 @@ def test_non_finite_input_exits_two(capsys, argv):
         ["reference-point", "--lam", "1e308", "--out", "{tmp}/ref.json"],
         ["sweep", "--n", "3", "--grid", "2", "--b3", "0", "--lam", "1e308", "--out-dir", "{tmp}"],
         ["verify", "--n", "13", "--lam", "1e308", "--t-star", "0.5", "--out", "{tmp}/v.json"],
+        ["flux-check", "--n", "3", "--lam", "1e308", "--out", "{tmp}/f.json"],
     ],
     ids=lambda argv: argv[0],
 )

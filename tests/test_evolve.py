@@ -278,6 +278,14 @@ def test_overflowing_evolution_raises(method):
     assert not isinstance(excinfo.value, ValidationError)  # a result fault, not an input one
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_heisenberg_evolution_raises():
+    hamiltonian = build_hamiltonian(ChainSpec(3, 1e308))
+    with pytest.raises(BellchainError, match="overflowed") as excinfo:
+        heisenberg_evolve(hamiltonian, PauliString.from_letters("XIX"), 0.5)
+    assert not isinstance(excinfo.value, ValidationError)
+
+
 def test_krylov_handles_product_start():
     # happy breakdown: the all-down state has tiny Krylov depth at N=3
     propagator = Propagator(build_hamiltonian(ChainSpec(3)), method="krylov")

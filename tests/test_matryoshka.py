@@ -254,7 +254,7 @@ def _dense_flux_reference(spec: ChainSpec, t: float) -> list[tuple]:
             if best <= 1e-12:
                 out.append((None, None, False, 0.0, np.linalg.norm(m, 2)))
                 continue
-            assert best - second > 1e-6, "a tied case cannot tell the routes apart"
+            assert best - second > 1e-6 * best, "a tied case cannot tell the routes apart"
             mask = int(order[0]) + 1
             sign = 1 if coefficients[order[0]] > 0 else -1
             z_sites = tuple(p + 1 for p in range(n) if (mask >> p) & 1)
@@ -274,7 +274,8 @@ def test_flux_check_matches_dense_route(n, chain):
         "fields": ChainSpec(n, fields_b=fields),
     }[chain]
     t_star = matryoshka_time()
-    for t in (0.0, t_star / 2, 0.3, t_star):
+    # at t = 1e-5 every Z coefficient is below 1e-9: the identity must not win
+    for t in (0.0, 1e-5, t_star / 2, 0.3, t_star):
         matches = flux_check(spec, t)
         reference = _dense_flux_reference(spec, t)
         assert len(matches) == len(reference)
