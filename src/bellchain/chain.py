@@ -101,6 +101,9 @@ class ChainSpec:
                 raise ValidationError("built-in patterns do not accept coupling arrays")
             if self.lam <= 0:
                 raise ValidationError(f"coupling scale must be positive, got {self.lam}")
+            # the middle bond's lam * sqrt(i (N - i)), as perfect_transfer_couplings computes it
+            if not math.isfinite(self.lam * math.sqrt((n // 2) * (n - n // 2))):
+                raise ValidationError(f"coupling scale {self.lam!r} overflows the largest coupling")
         object.__setattr__(self, "lam", float(self.lam))
 
     def couplings(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -162,6 +165,30 @@ class HamiltonianTerms:
             axes = tuple(n - 1 - bit for bit in range(n) if x_mask >> bit & 1)
             groups.append((axes, coeff))
         return tuple(groups)
+
+    @functools.cached_property
+    def _eigen_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """H diagonalised block by block: ``(indices, eigenvalues, eigenvectors)``.
+
+        Every XX or YY bond flips two spins, so a chain Hamiltonian
+        commutes with the total parity prod_i Z_i and splits into an even
+        and an odd popcount block of size 2^(N-1) each; with XX, YY and Z
+        terms it is also real symmetric, so each block is diagonalised in
+        real arithmetic.  A term list that flips an odd number of spins,
+        or has complex entries, keeps one block (real or complex) holding
+        every basis index.  Built on first use and shared by every exact
+        evolution under this Hamiltonian, states and operators alike.
+        """
+        n = self.n_sites
+        idx = np.arange(1 << n, dtype=np.int64)
+        h = self.dense()
+        if not h.imag.any():
+            h = h.real
+        groups = [idx]
+        if all(string.x_mask.bit_count() % 2 == 0 for _, string in self.terms):
+            _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
+            groups = [idx[parity.real > 0], idx[parity.real < 0]]
+        return tuple((group, *np.linalg.eigh(h[np.ix_(group, group)])) for group in groups)
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H @ v on a raw amplitude array, one flip-and-scale per x_mask group."""

@@ -4,9 +4,10 @@ Every artifact embeds the fully resolved configuration (a ``config``
 object in JSON files, a leading comment line in CSV files) and uses
 fixed float formatting, so identical invocations produce byte-identical
 outputs.  Exit codes: 0 success, 2 validation problem (including
-non-finite numbers and unreadable or unwritable files), 3 numerical
-contract violation (non-convergence, a non-finite result, impure
-boundary pair, failed linear algebra).
+non-finite numbers, a coupling scale whose largest coupling overflows
+or whose t* underflows to 0, and unreadable or unwritable files),
+3 numerical contract violation (non-convergence, a non-finite result,
+impure boundary pair, failed linear algebra).
 """
 
 from __future__ import annotations

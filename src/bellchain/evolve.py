@@ -10,13 +10,10 @@ tolerance.  When the full basis cannot carry the step, the step is
 halved on that same basis until it can; the method then continues from
 the time reached, trying the whole remaining time again.
 
-The eigendecomposition works block by block.  Every XX or YY bond
-flips two spins, so a chain Hamiltonian commutes with the total parity
-prod_i Z_i and splits into an even and an odd popcount block of size
-2^(N-1) each; with XX, YY and Z terms it is also real symmetric, so
-each block is diagonalised in real arithmetic.  A term list that flips
-an odd number of spins, or has complex entries, keeps one block (real
-or complex) holding every basis index.
+The eigen method evolves block by block on the Z-parity blocks that
+the Hamiltonian diagonalises once, on first use, and keeps
+(``HamiltonianTerms._eigen_blocks``), so every exact evolution of
+states or operators under one Hamiltonian shares one diagonalisation.
 
 Timing convention: with the Hamiltonian written in bare Pauli
 operators (no factor 1/2) and the built-in coupling profile
@@ -43,7 +40,7 @@ import scipy.linalg
 
 from .chain import HamiltonianTerms, _check_finite
 from .errors import BellchainError, ConvergenceError, DimensionMismatchError, ValidationError
-from .pauli import PauliString, StateVector, _mask_action
+from .pauli import PauliString, StateVector
 
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
@@ -56,7 +53,10 @@ def matryoshka_time(lam: float = 1.0) -> float:
     _check_finite("coupling scale", lam)
     if lam <= 0:
         raise ValidationError(f"coupling scale must be positive, got {lam}")
-    return math.pi / (4.0 * lam)
+    t_star = math.pi / (4.0 * lam)
+    if t_star == 0.0:
+        raise ValidationError(f"coupling scale {lam!r} is too large: t* = pi/(4 lam) is 0")
+    return t_star
 
 
 class Propagator:
@@ -77,9 +77,9 @@ class Propagator:
         result than ``tolerance``.  The Krylov method refuses a basis of
         ``max_subspace * 2^N * 16`` bytes larger than physical memory.
 
-    The eigen method stores one ``(indices, eigenvalues, eigenvectors)``
-    triple per Z-parity block (see :func:`_eigen_blocks`) and evolves
-    each block on its own.  The Krylov method stops growing its basis at
+    The eigen method evolves each Z-parity block of the Hamiltonian's
+    own diagonalisation (``HamiltonianTerms._eigen_blocks``, built on
+    first use) on its own.  The Krylov method stops growing its basis at
     the first size that meets ``tolerance`` for the remaining time; if
     the full basis does not, it halves the step on that same basis until
     it does, and repeats from the time reached.
@@ -117,7 +117,6 @@ class Propagator:
         self.method = method
         self.tolerance = float(tolerance)
         self.max_subspace = int(max_subspace)
-        self._blocks = _eigen_blocks(hamiltonian) if method == "eigen" else []
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         """exp(-iHt)|v>, deterministic and norm-preserving.
@@ -132,7 +131,7 @@ class Propagator:
         _check_finite("time", t)
         if self.method == "eigen":
             amps = np.empty(state.dim, dtype=complex)
-            for idx, w, v in self._blocks:
+            for idx, w, v in self.hamiltonian._eigen_blocks:
                 amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes[idx]))
         else:
             amps = _krylov_expm(
@@ -145,28 +144,6 @@ class Propagator:
         if not np.isfinite(amps).all():
             raise BellchainError(_NOT_FINITE)
         return StateVector._trusted(state.n_sites, amps)
-
-
-def _eigen_blocks(
-    hamiltonian: HamiltonianTerms,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Diagonalise H block by block: ``(indices, eigenvalues, eigenvectors)``.
-
-    H splits into the even and odd Z-parity blocks when every term
-    flips an even number of spins, and is diagonalised as a real matrix
-    when it has no imaginary part.  Otherwise one block holds every
-    basis index.
-    """
-    n = hamiltonian.n_sites
-    idx = np.arange(1 << n, dtype=np.int64)
-    h = hamiltonian.dense()
-    if not h.imag.any():
-        h = h.real
-    groups = [idx]
-    if all(string.x_mask.bit_count() % 2 == 0 for _, string in hamiltonian.terms):
-        _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
-        groups = [idx[parity.real > 0], idx[parity.real < 0]]
-    return [(group, *np.linalg.eigh(h[np.ix_(group, group)])) for group in groups]
 
 
 def _krylov_expm(
@@ -254,8 +231,8 @@ def _lanczos_step(
 def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: float) -> np.ndarray:
     """U(t)^dag P U(t) as a dense 2^N x 2^N matrix, for up to 8 sites.
 
-    U(t) is assembled block by block from the same parity-block
-    eigendecomposition that :class:`Propagator` uses.  Raises
+    U(t) is assembled block by block from the Hamiltonian's own
+    parity-block diagonalisation, which :class:`Propagator` shares.  Raises
     BellchainError when the result is not finite.
     """
     n = hamiltonian.n_sites
@@ -267,7 +244,7 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
         raise DimensionMismatchError("operator length does not match the Hamiltonian")
     _check_finite("time", t)
     u = np.zeros((1 << n, 1 << n), dtype=complex)
-    for idx, w, v in _eigen_blocks(hamiltonian):
+    for idx, w, v in hamiltonian._eigen_blocks:
         u[np.ix_(idx, idx)] = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
     evolved = u.conj().T @ pauli.dense() @ u
     if not np.isfinite(evolved).all():

@@ -57,6 +57,11 @@ def bell_state(label: BellLabel) -> np.ndarray:
     return _BELL_TABLE[label].copy()
 
 
+def _mixed_bell_fidelity(b: np.ndarray, rho: np.ndarray) -> float:
+    """sqrt(<b|rho|b>) of a Bell vector against a 4x4 density, clipped at 0."""
+    return float(np.sqrt(max(0.0, np.real(np.vdot(b, rho @ b)))))
+
+
 def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
     """Best-matching Bell label for a pure 4-vector or a 4x4 density.
 
@@ -71,7 +76,7 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
         if pair.shape == (4,):
             fid = abs(np.vdot(b, pair))
         elif pair.shape == (4, 4):
-            fid = float(np.sqrt(max(0.0, np.real(np.vdot(b, pair @ b)))))
+            fid = _mixed_bell_fidelity(b, pair)
         else:
             raise ValidationError(f"expected a 4-vector or 4x4 matrix, got shape {pair.shape}")
         if fid > best_fid:
@@ -242,14 +247,11 @@ def verify_matryoshka(state: StateVector, schedule: MatryoshkaSchedule) -> Verif
     reports = []
     for (p, q), label in schedule.pairs:
         rho = reduced_density(state, (p, q))
-        b = _BELL_TABLE[label]
-        overlap = float(np.sqrt(max(0.0, np.real(np.vdot(b, rho.matrix @ b)))))
-        reports.append(
-            PairReport((p, q), label, concurrence(rho), overlap, purity(rho))
-        )
+        overlap = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
+        reports.append(PairReport((p, q), label, concurrence(rho), overlap, purity(rho)))
     central = schedule.central_site
-    rho_c = reduced_density(state, (central,)).matrix
-    central_z = float(np.real(rho_c[0, 0] - rho_c[1, 1]))
+    rho_c = reduced_density(state, (central,))
+    central_z = float(np.real(rho_c.matrix[0, 0] - rho_c.matrix[1, 1]))
     ideal = ideal_matryoshka_state(schedule)
     return VerificationReport(
         schedule,

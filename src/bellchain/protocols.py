@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import concurrence
+from .analysis import concurrence, purity
 from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
@@ -58,11 +58,11 @@ def extract_pair(
     recorded fidelity drops below 1.
     """
     n = state.n_sites
-    rho = reduced_density(state, (1, n)).matrix
-    pair_purity = float(np.real(np.trace(rho @ rho)))
+    rho = reduced_density(state, (1, n))
+    pair_purity = purity(rho)
     if not force and pair_purity < 1.0 - purity_tolerance:
         raise PairNotPureError(pair_purity, 1.0 - purity_tolerance)
-    eigenvalues, eigenvectors = np.linalg.eigh(rho)
+    eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
     pair = eigenvectors[:, -1]
     # gauge: the lowest index among the largest components is real positive,
     # so a tie such as a Bell pair's two 1/sqrt(2) entries cannot fall to rounding
@@ -89,7 +89,7 @@ def _classify_internal(inner: np.ndarray, n_inner: int) -> tuple[ChainClass, flo
         rho = _partial_trace(inner, n_inner, (site,))
         z = float(np.real(rho[0, 0] - rho[1, 1]))
         polarizations.append(z)
-        if float(np.real(np.trace(rho @ rho))) < 1.0 - _Z_SEP_PURITY_TOL:
+        if purity(rho) < 1.0 - _Z_SEP_PURITY_TOL:
             pure_sites = False
     if pure_sites and all(abs(z) >= 1.0 - _Z_SEP_POLARIZATION_TOL for z in polarizations):
         index = sum((z < 0) << (site - 1) for site, z in enumerate(polarizations, start=1))

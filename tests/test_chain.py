@@ -63,6 +63,8 @@ def test_spec_validation():
         ChainSpec(3, fields_b=(0.0, float("inf"), 0.0))
     with pytest.raises(ValidationError):
         ChainSpec(3, pattern=Pattern.CUSTOM, j_x=(1.0, float("nan")), j_y=(1.0, 1.0))
+    with pytest.raises(ValidationError):
+        ChainSpec(13, 1e308)  # the middle couplings overflow to inf
 
 
 def test_spec_defaults_to_zero_fields():

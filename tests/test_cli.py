@@ -210,7 +210,30 @@ def test_non_finite_input_exits_two(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ghz", "--n", "3", "--lam", "1e308"],
+        ["ghz", "--n", "3", "--lam", "1e200", "--t-star", "1e200"],
+        ["reference-point", "--lam", "1e200", "--t-star", "1e200", "--out", "{tmp}/ref.json"],
+        ["sweep", "--n", "3", "--grid", "2", "--b3", "0", "--lam", "1e200", "--t-star", "1e200",
+         "--out-dir", "{tmp}"],
+        ["verify", "--n", "13", "--lam", "1e307", "--t-star", "0.5", "--out", "{tmp}/v.json"],
+        ["flux-check", "--n", "3", "--lam", "1e200", "--t", "1e200", "--out", "{tmp}/f.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_result_exits_three(tmp_path, capsys, argv):
+    """Finite, valid couplings and times whose products overflow inside the evolution."""
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert "overflowed" in captured.err
+    assert "nan" not in captured.out.lower()
+    for path in tmp_path.rglob("*"):
+        assert "nan" not in path.read_text().lower(), path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "13", "--lam", "1e308", "--out", "{tmp}/g.json"],
+        ["ghz", "--n", "3", "--lam", "1e308", "--out", "{tmp}/ghz.json"],
         ["reference-point", "--lam", "1e308", "--out", "{tmp}/ref.json"],
         ["sweep", "--n", "3", "--grid", "2", "--b3", "0", "--lam", "1e308", "--out-dir", "{tmp}"],
         ["verify", "--n", "13", "--lam", "1e308", "--t-star", "0.5", "--out", "{tmp}/v.json"],
@@ -218,13 +241,12 @@ def test_non_finite_input_exits_two(capsys, argv):
     ],
     ids=lambda argv: argv[0],
 )
-def test_non_finite_result_exits_three(tmp_path, capsys, argv):
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
-    captured = capsys.readouterr()
-    assert "overflowed" in captured.err
-    assert "nan" not in captured.out.lower()
-    for path in tmp_path.rglob("*"):
-        assert "nan" not in path.read_text().lower(), path
+def test_overflowing_coupling_scale_exits_two(tmp_path, capsys, argv):
+    """At N = 13 the largest coupling is inf; at N = 3 it is finite but t* underflows to 0."""
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coupling scale 1e+308" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

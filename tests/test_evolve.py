@@ -29,6 +29,8 @@ def test_matryoshka_time_scales_inversely():
     assert matryoshka_time(2.0) == pytest.approx(math.pi / 8)
     with pytest.raises(ValidationError):
         matryoshka_time(0.0)
+    with pytest.raises(ValidationError):
+        matryoshka_time(1e308)  # 4 lam overflows, so t* would underflow to 0
 
 
 def test_zero_time_is_identity():
@@ -111,9 +113,9 @@ _HAND_BUILT = [
 def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
     rng = np.random.default_rng(11)
     eager = Propagator(h, method="eigen")
-    assert len(eager._blocks) == n_blocks
-    assert sorted(np.concatenate([idx for idx, _, _ in eager._blocks])) == list(range(8))
-    assert all(v.dtype == dtype for _, _, v in eager._blocks)
+    assert len(h._eigen_blocks) == n_blocks
+    assert sorted(np.concatenate([idx for idx, _, _ in h._eigen_blocks])) == list(range(8))
+    assert all(v.dtype == dtype for _, _, v in h._eigen_blocks)
     state = random_state(rng, 3)
     np.testing.assert_allclose(
         h.apply(state.amplitudes), h.dense() @ state.amplitudes, rtol=0, atol=1e-12
@@ -224,7 +226,7 @@ def test_chain_hamiltonians_split_into_two_real_parity_blocks(n):
     ]
     half = 1 << (n - 1)
     for spec in specs:
-        blocks = Propagator(build_hamiltonian(spec), method="eigen")._blocks
+        blocks = build_hamiltonian(spec)._eigen_blocks
         assert len(blocks) == 2
         for (idx, w, v), parity in zip(blocks, (0, 1)):
             assert idx.shape == (half,) and w.shape == (half,) and v.shape == (half, half)

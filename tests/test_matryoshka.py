@@ -7,6 +7,7 @@ import scipy.linalg
 from bellchain import (
     BellLabel,
     ChainSpec,
+    HamiltonianTerms,
     InitialState,
     MatryoshkaSchedule,
     Pattern,
@@ -20,12 +21,12 @@ from bellchain import (
     build_hamiltonian,
     closest_bell,
     flux_check,
+    heisenberg_evolve,
     ideal_matryoshka_state,
     matryoshka_time,
     mirror_pair_sign,
     verify_matryoshka,
 )
-import bellchain.evolve
 from bellchain.oracle import dense_hamiltonian, dense_pauli
 from _helpers import unpack_complex
 
@@ -222,10 +223,30 @@ def test_flux_check_site_cap(monkeypatch):
         raise AssertionError("an operator-sized array was built")
 
     monkeypatch.setattr(scipy.linalg, "hadamard", unreachable)
-    monkeypatch.setattr(bellchain.evolve, "_eigen_blocks", unreachable)
+    monkeypatch.setattr(HamiltonianTerms, "dense", unreachable)
     for n in (9, 31):
         with pytest.raises(ValidationError):
             flux_check(ChainSpec(n, 1.0), 0.1)
+
+
+def test_one_hamiltonian_is_diagonalised_once(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for n in (5, 7):
+        calls.clear()
+        flux_check(ChainSpec(n), matryoshka_time())
+        assert len(calls) == 2  # one per Z-parity block, shared by all 2(N-1) pair operators
+    calls.clear()
+    h = build_hamiltonian(ChainSpec(5, pattern=Pattern.PERFECT_TRANSFER))
+    Propagator(h, method="eigen").evolve(StateVector.zero_state(5), 0.4)
+    heisenberg_evolve(h, PauliString.from_letters("XIIIX"), 0.4)
+    assert len(calls) == 2
 
 
 @functools.lru_cache
