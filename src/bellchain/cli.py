@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flux-check", help="match evolved pair operators to signed Z-strings")
     add_chain_options(p)
-    p.add_argument("--t", type=float, help="evolution time (default t*)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("conveyor", help="run evolve-extract rounds and log each pair")
@@ -101,6 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-star", type=float, dest="t_star")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
+    # full option names only: `flux-check --t 0.5` is an error, not `--t-star 0.5`
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
@@ -224,10 +226,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_flux_check(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     t_star = _t_star(args, spec)
-    t = args.t if args.t is not None else t_star
-    matches = flux_check(spec, t)
+    matches = flux_check(spec, t_star)
     payload = {
-        "config": _spec_config_dict(spec, t_star, {"command": "flux-check", "t": t}),
+        "config": _spec_config_dict(spec, t_star, {"command": "flux-check"}),
         "matches": [m.to_json_dict() for m in matches],
     }
     echo = []

@@ -4,11 +4,15 @@ Two interchangeable propagation methods are provided: a cached full
 eigendecomposition (default up to N = 12) and a matrix-free Lanczos
 Krylov method for longer chains.
 
-The Krylov method grows its basis one vector at a time and stops as
-soon as the a-posteriori error estimate for the step meets the
-tolerance.  When the full basis cannot carry the step, the step is
-halved on that same basis until it can; the method then continues from
-the time reached, trying the whole remaining time again.
+The Krylov method runs the plain three-term Lanczos recurrence, without
+reorthogonalisation: for exp(-iHt)|v> with Hermitian H the lost
+orthogonality of the basis does not spoil the result (Druskin,
+Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998)).  The
+basis grows one vector at a time, up to ``_KRYLOV_MAX_SUBSPACE``, and
+stops as soon as the a-posteriori error estimate for the step meets
+``_KRYLOV_TOLERANCE``.  When the full basis cannot carry the step, the
+step is halved on that same basis until it can; the method then
+continues from the time reached, trying the whole remaining time again.
 
 The eigen method evolves block by block on the Z-parity blocks that
 the Hamiltonian diagonalises once, on first use, and keeps
@@ -45,6 +49,9 @@ from .pauli import PauliString, StateVector
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
 _MAX_SUBSTEPS = 1 << 20
+# error target of each Krylov step (not of the whole propagation) and Lanczos basis ceiling
+_KRYLOV_TOLERANCE = 1e-10
+_KRYLOV_MAX_SUBSPACE = 40
 _NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large for double precision"
 
 
@@ -69,29 +76,18 @@ class Propagator:
     method : str
         "eigen", "krylov", or "auto" (eigen up to 12 sites, Krylov
         beyond).  The eigen method refuses chains longer than 12 sites.
-    tolerance, max_subspace : float, int
-        Krylov controls: the error target of each step and the Lanczos
-        basis-size ceiling.  Ignored by the eigen method.  ``tolerance``
-        bounds each step's a-posteriori error estimate, not the whole
-        propagation: a run of many steps can end further from the exact
-        result than ``tolerance``.  The Krylov method refuses a basis of
-        ``max_subspace * 2^N * 16`` bytes larger than physical memory.
 
     The eigen method evolves each Z-parity block of the Hamiltonian's
     own diagonalisation (``HamiltonianTerms._eigen_blocks``, built on
-    first use) on its own.  The Krylov method stops growing its basis at
-    the first size that meets ``tolerance`` for the remaining time; if
-    the full basis does not, it halves the step on that same basis until
-    it does, and repeats from the time reached.
+    first use) on its own.  The Krylov method (plain Lanczos, stepped as
+    the module docstring describes) keeps a basis of at most 40 vectors
+    and refuses one of ``40 * 2^N * 16`` bytes larger than physical
+    memory.  Its error target, 1e-10, bounds each step's a-posteriori
+    estimate, not the whole propagation: a run of many steps can end
+    further from the exact result.
     """
 
-    def __init__(
-        self,
-        hamiltonian: HamiltonianTerms,
-        method: str = "auto",
-        tolerance: float = 1e-10,
-        max_subspace: int = 40,
-    ):
+    def __init__(self, hamiltonian: HamiltonianTerms, method: str = "auto"):
         if method == "auto":
             method = "eigen" if hamiltonian.n_sites <= _EIGEN_MAX_SITES else "krylov"
         if method not in ("eigen", "krylov"):
@@ -101,22 +97,17 @@ class Propagator:
                 f"eigendecomposition is limited to {_EIGEN_MAX_SITES} sites, "
                 f"got {hamiltonian.n_sites}; use the krylov method"
             )
-        if tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
-        if max_subspace < 2:
-            raise ValidationError("max_subspace must be at least 2")
         if method == "krylov":
-            need = max_subspace * (1 << hamiltonian.n_sites) * 16
+            need = _KRYLOV_MAX_SUBSPACE * (1 << hamiltonian.n_sites) * 16
             have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
             if need > have:
                 raise ValidationError(
-                    f"a Krylov basis of {max_subspace} vectors at {hamiltonian.n_sites} "
-                    f"sites needs {need} bytes, more than the {have} bytes of physical memory"
+                    f"a Krylov basis of {_KRYLOV_MAX_SUBSPACE} vectors at "
+                    f"{hamiltonian.n_sites} sites needs {need} bytes, more than the "
+                    f"{have} bytes of physical memory"
                 )
         self.hamiltonian = hamiltonian
         self.method = method
-        self.tolerance = float(tolerance)
-        self.max_subspace = int(max_subspace)
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         """exp(-iHt)|v>, deterministic and norm-preserving.
@@ -134,13 +125,7 @@ class Propagator:
             for idx, w, v in self.hamiltonian._eigen_blocks:
                 amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes[idx]))
         else:
-            amps = _krylov_expm(
-                self.hamiltonian.apply,
-                state.amplitudes,
-                t,
-                self.tolerance,
-                self.max_subspace,
-            )
+            amps = _krylov_expm(self.hamiltonian.apply, state.amplitudes, t)
         if not np.isfinite(amps).all():
             raise BellchainError(_NOT_FINITE)
         return StateVector._trusted(state.n_sites, amps)
@@ -150,20 +135,18 @@ def _krylov_expm(
     apply_h: Callable[[np.ndarray], np.ndarray],
     amplitudes: np.ndarray,
     t: float,
-    tolerance: float,
-    max_subspace: int,
 ) -> np.ndarray:
     """Lanczos propagation in steps that each try the whole remaining time.
 
-    All steps share one preallocated ``(max_subspace, 2^N)`` basis.
+    All steps share one preallocated ``(_KRYLOV_MAX_SUBSPACE, 2^N)`` basis.
     """
     if t == 0.0:
         return amplitudes.copy()
-    basis = np.empty((max_subspace, amplitudes.size), dtype=complex)
+    basis = np.empty((_KRYLOV_MAX_SUBSPACE, amplitudes.size), dtype=complex)
     min_step = abs(t) / _MAX_SUBSTEPS
     current, remaining = amplitudes, t
     while True:
-        current, step = _lanczos_step(apply_h, current, remaining, tolerance, basis, min_step)
+        current, step = _lanczos_step(apply_h, current, remaining, basis, min_step)
         if step == remaining:
             return current
         remaining -= step
@@ -173,18 +156,17 @@ def _lanczos_step(
     apply_h: Callable[[np.ndarray], np.ndarray],
     v: np.ndarray,
     dt: float,
-    tolerance: float,
     basis: np.ndarray,
     min_step: float,
 ) -> tuple[np.ndarray, float]:
     """exp(-iH s)|v> for the longest s in dt, dt/2, dt/4, ... that converges.
 
-    The basis grows one vector at a time and stops at the first size m
-    whose a-posteriori error estimate |s| * beta_m * |y_m| is within
-    ``tolerance`` for s = dt.  If the full basis fails, s is halved on
-    that same basis, which does not depend on s, until the estimate
-    passes; below ``min_step`` the propagation gives up.  Returns
-    ``(result, s)``.
+    The basis grows by the plain three-term recurrence, one vector at a
+    time, and stops at the first size m whose a-posteriori error
+    estimate |s| * beta_m * |y_m| is within ``_KRYLOV_TOLERANCE`` for
+    s = dt.  If the full basis fails, s is halved on that same basis,
+    which does not depend on s, until the estimate passes; below
+    ``min_step`` the propagation gives up.  Returns ``(result, s)``.
     """
     norm0 = np.linalg.norm(v)
     basis[0] = v / norm0
@@ -196,10 +178,6 @@ def _lanczos_step(
         w -= alpha * basis[j]
         if j > 0:
             w -= betas[j - 1] * basis[j - 1]
-        # full reorthogonalization in two block Gram-Schmidt passes
-        for _ in range(2):
-            h = np.conj(basis[: j + 1] @ np.conj(w))
-            w -= h @ basis[: j + 1]
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -208,20 +186,19 @@ def _lanczos_step(
         coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
         if beta < 1e-14 * max(1.0, abs(alpha)):
             break  # happy breakdown: the basis spans an invariant subspace
-        if abs(dt) * beta * abs(coefficients[-1]) <= tolerance:
+        if abs(dt) * beta * abs(coefficients[-1]) <= _KRYLOV_TOLERANCE:
             break
         betas.append(beta)
         if j + 1 < basis.shape[0]:
             basis[j + 1] = w / beta
     else:
         # the full basis failed at dt: shrink the step on the same basis
-        while abs(dt) * beta * abs(coefficients[-1]) > tolerance:
+        while abs(dt) * beta * abs(coefficients[-1]) > _KRYLOV_TOLERANCE:
             dt /= 2
             if abs(dt) < min_step:
                 raise ConvergenceError(
-                    f"Krylov propagation did not reach tolerance {tolerance:.1e} "
-                    f"with steps down to 1/{_MAX_SUBSTEPS} of the time; loosen the "
-                    f"tolerance or enlarge max_subspace"
+                    f"Krylov propagation did not reach tolerance {_KRYLOV_TOLERANCE:.1e} "
+                    f"with steps down to 1/{_MAX_SUBSTEPS} of the time"
                 )
             coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
     m = len(alphas)

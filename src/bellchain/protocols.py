@@ -13,7 +13,7 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, StateVector, _partial_trace, gate_apply, reduced_density
+from .pauli import _TIE_TOL, DensityMatrix, StateVector, _partial_trace, gate_apply, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6
@@ -57,8 +57,17 @@ def extract_pair(
     the state is projected onto the dominant pair factor and the
     recorded fidelity drops below 1.
     """
+    return _extract(state, reduced_density(state, (1, state.n_sites)), force, purity_tolerance)
+
+
+def _extract(
+    state: StateVector,
+    rho: DensityMatrix,
+    force: bool = False,
+    purity_tolerance: float = _PURITY_TOL,
+) -> ExtractionResult:
+    """:func:`extract_pair` given the boundary pair's reduced density ``rho``."""
     n = state.n_sites
-    rho = reduced_density(state, (1, n))
     pair_purity = purity(rho)
     if not force and pair_purity < 1.0 - purity_tolerance:
         raise PairNotPureError(pair_purity, 1.0 - purity_tolerance)
@@ -156,7 +165,7 @@ def conveyor_run(
     for round_index in range(1, rounds + 1):
         state = propagator.evolve(state, t_star)
         boundary = reduced_density(state, (1, spec.n_sites))
-        extraction = extract_pair(state)
+        extraction = _extract(state, boundary)
         label, label_fidelity = closest_bell(extraction.pair_state)
         inner_dim = 1 << (spec.n_sites - 2)
         inner = extraction.chain_after.amplitudes[np.arange(inner_dim) << 1]

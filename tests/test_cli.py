@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import bellchain.evolve
 from bellchain import Propagator, StateVector, cli
 from bellchain.cli import main
 
@@ -190,6 +191,18 @@ def test_flux_check_honours_the_resolved_chain(capsys, flags):
     assert not any(m["matched"] for m in payload["matches"])
 
 
+def test_flux_check_takes_its_time_from_t_star(tmp_path, capsys):
+    # the time evolved to is the only one resolved, so pi/(4 lam) need not be representable
+    out = tmp_path / "f.json"
+    argv = ["flux-check", "--n", "3", "--lam", "5e307", "--t-star", "1e-300", "--out", str(out)]
+    assert main(argv) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["t_star"] == 1e-300 and "t" not in config
+    with pytest.raises(SystemExit) as info:
+        main(["flux-check", "--n", "3", "--t", "0.5"])
+    assert info.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -215,7 +228,7 @@ def test_non_finite_input_exits_two(capsys, argv):
         ["sweep", "--n", "3", "--grid", "2", "--b3", "0", "--lam", "1e200", "--t-star", "1e200",
          "--out-dir", "{tmp}"],
         ["verify", "--n", "13", "--lam", "1e307", "--t-star", "0.5", "--out", "{tmp}/v.json"],
-        ["flux-check", "--n", "3", "--lam", "1e200", "--t", "1e200", "--out", "{tmp}/f.json"],
+        ["flux-check", "--n", "3", "--lam", "1e200", "--t-star", "1e200", "--out", "{tmp}/f.json"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -277,8 +290,9 @@ def test_linear_algebra_failure_exits_three(monkeypatch, capsys):
 
 
 def test_krylov_convergence_failure_exits_three(monkeypatch, capsys):
-    strict = functools.partial(Propagator, method="krylov", tolerance=1e-300, max_subspace=2)
-    monkeypatch.setattr(cli, "Propagator", strict)
+    monkeypatch.setattr(bellchain.evolve, "_KRYLOV_TOLERANCE", 1e-300)
+    monkeypatch.setattr(bellchain.evolve, "_KRYLOV_MAX_SUBSPACE", 2)
+    monkeypatch.setattr(cli, "Propagator", functools.partial(Propagator, method="krylov"))
     assert main(["verify", "--n", "5"]) == 3
     assert "did not reach tolerance" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bellchain.protocols
 from bellchain import (
     BellLabel,
     ChainClass,
@@ -125,6 +126,18 @@ def test_conveyor_every_pair_is_maximally_entangled():
     for record in conveyor_run(ChainSpec(5), 4):
         assert record.extraction_concurrence > 1 - 1e-8
         assert record.label_fidelity > 1 - 1e-8
+
+
+def test_conveyor_takes_one_boundary_density_per_round(monkeypatch):
+    calls = []
+
+    def counted(state, sites):
+        calls.append(tuple(sites))
+        return reduced_density(state, sites)
+
+    monkeypatch.setattr(bellchain.protocols, "reduced_density", counted)
+    conveyor_run(ChainSpec(7), 4)
+    assert calls == [(1, 7)] * 4
 
 
 def test_conveyor_zero_rounds():
