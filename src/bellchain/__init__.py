@@ -57,10 +57,7 @@ from .pauli import (
     PauliString,
     StateVector,
     bit_label,
-    expectation,
     gate_apply,
-    pauli_apply,
-    pauli_mul,
     reduced_density,
 )
 from .protocols import (
@@ -108,7 +105,6 @@ __all__ = [
     "closest_bell",
     "concurrence",
     "conveyor_run",
-    "expectation",
     "extract_pair",
     "field_sweep",
     "flux_check",
@@ -120,8 +116,6 @@ __all__ = [
     "matryoshka_couplings",
     "matryoshka_time",
     "mirror_pair_sign",
-    "pauli_apply",
-    "pauli_mul",
     "perfect_transfer_couplings",
     "purity",
     "reduced_density",

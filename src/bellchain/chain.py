@@ -127,8 +127,6 @@ class HamiltonianTerms:
         for weight, string in self.terms:
             if string.n_sites != self.n_sites:
                 raise ValidationError("term length does not match the chain")
-            if not string.is_hermitian:
-                raise ValidationError(f"non-Hermitian term {string}")
 
     @functools.cached_property
     def _flip_groups(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:

@@ -10,8 +10,10 @@ orthogonality of the basis does not spoil the result (Druskin,
 Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998)).  The
 basis grows one vector at a time, up to ``_KRYLOV_MAX_SUBSPACE``, and
 stops as soon as the a-posteriori error estimate for the step meets
-``_KRYLOV_TOLERANCE``.  When the full basis cannot carry the step, the
-step is halved on that same basis until it can; the method then
+its share of ``_KRYLOV_TOLERANCE``: the share of a step of length s
+in an evolution of length t is s/t, so the estimates of all steps sum
+to at most the tolerance.  When the full basis cannot carry the step,
+the step is halved on that same basis until it can; the method then
 continues from the time reached, trying the whole remaining time again.
 
 The eigen method evolves block by block on the Z-parity blocks that
@@ -49,7 +51,7 @@ from .pauli import PauliString, StateVector
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
 _MAX_SUBSTEPS = 1 << 20
-# error target of each Krylov step (not of the whole propagation) and Lanczos basis ceiling
+# error target of a whole Krylov evolution and Lanczos basis ceiling
 _KRYLOV_TOLERANCE = 1e-10
 _KRYLOV_MAX_SUBSPACE = 40
 _NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large for double precision"
@@ -63,6 +65,8 @@ def matryoshka_time(lam: float = 1.0) -> float:
     t_star = math.pi / (4.0 * lam)
     if t_star == 0.0:
         raise ValidationError(f"coupling scale {lam!r} is too large: t* = pi/(4 lam) is 0")
+    if math.isinf(t_star):
+        raise ValidationError(f"coupling scale {lam!r} is too small: t* = pi/(4 lam) overflows")
     return t_star
 
 
@@ -82,9 +86,8 @@ class Propagator:
     first use) on its own.  The Krylov method (plain Lanczos, stepped as
     the module docstring describes) keeps a basis of at most 40 vectors
     and refuses one of ``40 * 2^N * 16`` bytes larger than physical
-    memory.  Its error target, 1e-10, bounds each step's a-posteriori
-    estimate, not the whole propagation: a run of many steps can end
-    further from the exact result.
+    memory.  Its error target, 1e-10, bounds the sum of the steps'
+    a-posteriori estimates over the whole evolution.
     """
 
     def __init__(self, hamiltonian: HamiltonianTerms, method: str = "auto"):
@@ -143,10 +146,9 @@ def _krylov_expm(
     if t == 0.0:
         return amplitudes.copy()
     basis = np.empty((_KRYLOV_MAX_SUBSPACE, amplitudes.size), dtype=complex)
-    min_step = abs(t) / _MAX_SUBSTEPS
     current, remaining = amplitudes, t
     while True:
-        current, step = _lanczos_step(apply_h, current, remaining, basis, min_step)
+        current, step = _lanczos_step(apply_h, current, remaining, basis, t)
         if step == remaining:
             return current
         remaining -= step
@@ -157,16 +159,19 @@ def _lanczos_step(
     v: np.ndarray,
     dt: float,
     basis: np.ndarray,
-    min_step: float,
+    t: float,
 ) -> tuple[np.ndarray, float]:
     """exp(-iH s)|v> for the longest s in dt, dt/2, dt/4, ... that converges.
 
-    The basis grows by the plain three-term recurrence, one vector at a
+    ``t`` is the time of the whole evolution this step belongs to.  The
+    basis grows by the plain three-term recurrence, one vector at a
     time, and stops at the first size m whose a-posteriori error
-    estimate |s| * beta_m * |y_m| is within ``_KRYLOV_TOLERANCE`` for
-    s = dt.  If the full basis fails, s is halved on that same basis,
-    which does not depend on s, until the estimate passes; below
-    ``min_step`` the propagation gives up.  Returns ``(result, s)``.
+    estimate |s| * beta_m * |y_m| is at most |s|/|t| times
+    ``_KRYLOV_TOLERANCE`` (so |t| * beta_m * |y_m| is at most the
+    tolerance) for s = dt.  If the full basis fails, s is halved on
+    that same basis, which does not depend on s, until the estimate
+    passes; below |t| / ``_MAX_SUBSTEPS`` the propagation gives up.
+    Returns ``(result, s)``.
     """
     norm0 = np.linalg.norm(v)
     basis[0] = v / norm0
@@ -186,16 +191,16 @@ def _lanczos_step(
         coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
         if beta < 1e-14 * max(1.0, abs(alpha)):
             break  # happy breakdown: the basis spans an invariant subspace
-        if abs(dt) * beta * abs(coefficients[-1]) <= _KRYLOV_TOLERANCE:
+        if abs(t) * beta * abs(coefficients[-1]) <= _KRYLOV_TOLERANCE:
             break
         betas.append(beta)
         if j + 1 < basis.shape[0]:
             basis[j + 1] = w / beta
     else:
         # the full basis failed at dt: shrink the step on the same basis
-        while abs(dt) * beta * abs(coefficients[-1]) > _KRYLOV_TOLERANCE:
+        while abs(t) * beta * abs(coefficients[-1]) > _KRYLOV_TOLERANCE:
             dt /= 2
-            if abs(dt) < min_step:
+            if abs(dt) < abs(t) / _MAX_SUBSTEPS:
                 raise ConvergenceError(
                     f"Krylov propagation did not reach tolerance {_KRYLOV_TOLERANCE:.1e} "
                     f"with steps down to 1/{_MAX_SUBSTEPS} of the time"

@@ -34,7 +34,7 @@ def dense_pauli(pauli: PauliString) -> np.ndarray:
     """Kronecker-product materialization (site N leftmost, site 1 = LSB)."""
     letters = pauli.letters
     factors = [_LETTER_MATRICES[letters[s - 1]] for s in range(pauli.n_sites, 0, -1)]
-    return pauli.phase * functools.reduce(np.kron, factors)
+    return functools.reduce(np.kron, factors)
 
 
 def dense_hamiltonian(hamiltonian: HamiltonianTerms) -> np.ndarray:

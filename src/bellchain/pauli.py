@@ -1,4 +1,4 @@
-"""Bit-indexed state vectors and Pauli-string algebra.
+"""Bit-indexed state vectors and Pauli strings.
 
 Conventions used throughout the package:
 
@@ -6,9 +6,9 @@ Conventions used throughout the package:
   basis index, so site 1 is the least-significant bit.
 * Human-readable bit strings list site 1 first: the string ``"110"``
   means site 1 and site 2 excited, site 3 down, i.e. basis index 3.
-* A Pauli string is stored as two N-bit masks (X part, Z part) plus a
-  phase exponent k with phase = i**k, so application costs O(2^N) with
-  no matrix materialization.
+* A Pauli string is a tensor product of letters stored as two N-bit
+  masks (X part, Z part); ``_mask_action`` is the one place its signs
+  and the i of each Y are worked out.
 """
 
 from __future__ import annotations
@@ -26,55 +26,44 @@ _HERM_TOL = 1e-12
 # magnitudes this close are equal up to rounding and count as ties
 _TIE_TOL = 1e-9
 
-# letter <-> (x bit, z bit); Y carries both masks and a bookkeeping i
+# letter <-> (x bit, z bit); Y = i X Z carries both masks and an i
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _phase_exponent(phase: complex) -> int:
-    for k, p in enumerate(_PHASES):
-        if abs(complex(phase) - p) < 1e-12:
-            return k
-    raise ValidationError(f"phase must be one of +1, -1, +i, -i, got {phase!r}")
 
 
 def _mask_action(pauli: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where a Pauli string sends basis columns ``idx``, and with what value.
 
     Column j of the string has one nonzero entry, at row j ^ x_mask,
-    equal to the phase times (-1)**popcount(j & z_mask).  Returns
-    ``(rows, values)`` for the int64 array ``idx``.
+    equal to i**(number of Y letters) times (-1)**popcount(j & z_mask).
+    Returns ``(rows, values)`` for the int64 array ``idx``.
     """
     # fold the bits of idx & z_mask down to their parity
     parity = idx & pauli.z_mask
     for shift in (32, 16, 8, 4, 2, 1):
         parity ^= parity >> shift
-    phase = _PHASES[(pauli.phase_power + (pauli.x_mask & pauli.z_mask).bit_count()) % 4]
+    phase = _PHASES[(pauli.x_mask & pauli.z_mask).bit_count() % 4]
     return idx ^ pauli.x_mask, phase * (1.0 - 2.0 * (parity & 1))
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """A phase in {+1, -1, +i, -i} and one letter of {I, X, Y, Z} per site.
+    """One letter of {I, X, Y, Z} per site, a Hermitian operator.
 
-    The operator is i**phase_power times the literal tensor product of
-    the letters encoded in ``x_mask`` / ``z_mask``: bit pattern (0,0)
-    is I, (1,0) is X, (0,1) is Z and (1,1) is Y.
+    The operator is the literal tensor product of the letters encoded in
+    ``x_mask`` / ``z_mask``: bit pattern (0,0) is I, (1,0) is X, (0,1)
+    is Z and (1,1) is Y.
     """
 
     n_sites: int
     x_mask: int
     z_mask: int
-    phase_power: int = 0
 
     def __post_init__(self):
         # plain ints skip the conversion: sweeps build thousands of strings
-        if not (
-            type(self.n_sites) is type(self.x_mask) is type(self.z_mask)
-            is type(self.phase_power) is int
-        ):
-            for name in ("n_sites", "x_mask", "z_mask", "phase_power"):
+        if not (type(self.n_sites) is type(self.x_mask) is type(self.z_mask) is int):
+            for name in ("n_sites", "x_mask", "z_mask"):
                 try:
                     object.__setattr__(self, name, operator.index(getattr(self, name)))
                 except TypeError:
@@ -86,14 +75,9 @@ class PauliString:
         top = 1 << self.n_sites
         if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
             raise ValidationError("mask exceeds the declared number of sites")
-        object.__setattr__(self, "phase_power", self.phase_power % 4)
 
     @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites, 0, 0, 0)
-
-    @classmethod
-    def from_letters(cls, letters: str | Sequence[str], phase: complex = 1.0) -> "PauliString":
+    def from_letters(cls, letters: str | Sequence[str]) -> "PauliString":
         """Build from a site-ordered letter sequence, e.g. ``"YYI"``."""
         x_mask = z_mask = 0
         for pos, letter in enumerate(letters):
@@ -103,15 +87,15 @@ class PauliString:
                 raise ValidationError(f"unknown Pauli letter {letter!r}") from None
             x_mask |= xb << pos
             z_mask |= zb << pos
-        return cls(len(letters), x_mask, z_mask, _phase_exponent(phase))
+        return cls(len(letters), x_mask, z_mask)
 
     @classmethod
-    def single(cls, n_sites: int, site: int, letter: str, phase: complex = 1.0) -> "PauliString":
+    def single(cls, n_sites: int, site: int, letter: str) -> "PauliString":
         """A single non-identity letter on one site of an N-site chain."""
         site = _check_site(site, n_sites)
         letters = ["I"] * n_sites
         letters[site - 1] = letter
-        return cls.from_letters(letters, phase)
+        return cls.from_letters(letters)
 
     @property
     def letters(self) -> str:
@@ -119,20 +103,6 @@ class PauliString:
             _BITS_LETTER[((self.x_mask >> p) & 1, (self.z_mask >> p) & 1)]
             for p in range(self.n_sites)
         )
-
-    @property
-    def phase(self) -> complex:
-        return _PHASES[self.phase_power]
-
-    @property
-    def is_hermitian(self) -> bool:
-        # Y count equals popcount(x & z); P dagger = P iff phase is real
-        return self.phase_power % 2 == 0
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return (self.x_mask | self.z_mask).bit_count()
 
     def dense(self) -> np.ndarray:
         """Materialize as a 2^N x 2^N matrix via the mask action."""
@@ -142,13 +112,6 @@ class PauliString:
         mat = np.zeros((dim, dim), dtype=complex)
         mat[rows, idx] = values
         return mat
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_mul(self, other)
-
-    def __str__(self) -> str:
-        pretty = {0: "+", 1: "+i ", 2: "-", 3: "-i "}[self.phase_power]
-        return f"{pretty}{self.letters}"
 
 
 class StateVector:
@@ -167,6 +130,8 @@ class StateVector:
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
         _check_chain_length(n)
         norm = float(np.linalg.norm(amps))
+        if not np.isfinite(norm):
+            raise ValidationError(f"state norm {norm!r} is not finite")
         if normalize:
             if norm == 0.0:
                 raise ValidationError("cannot normalize the zero vector")
@@ -260,41 +225,6 @@ def _check_site(site: int, n_sites: int) -> int:
     return site
 
 
-def pauli_apply(pauli: PauliString, state: StateVector) -> StateVector:
-    """Apply a Pauli string: permutes and phases basis amplitudes."""
-    if pauli.n_sites != state.n_sites:
-        raise DimensionMismatchError(
-            f"operator acts on {pauli.n_sites} sites, state has {state.n_sites}"
-        )
-    return StateVector._trusted(state.n_sites, _apply_masks(pauli, state.amplitudes))
-
-
-def _apply_masks(pauli: PauliString, amps: np.ndarray) -> np.ndarray:
-    """Raw mask action on an amplitude array (no wrapping, no checks)."""
-    rows, values = _mask_action(pauli, np.arange(amps.size, dtype=np.int64))
-    out = np.empty(amps.size, dtype=complex)
-    out[rows] = values * amps
-    return out
-
-
-def pauli_mul(left: PauliString, right: PauliString) -> PauliString:
-    """Product of two Pauli strings with exact phase bookkeeping."""
-    if left.n_sites != right.n_sites:
-        raise DimensionMismatchError("cannot multiply strings of different lengths")
-    x3 = left.x_mask ^ right.x_mask
-    z3 = left.z_mask ^ right.z_mask
-    # move every letter to X^x Z^z form, commute Z^z1 past X^x2, fold back
-    k = (
-        left.phase_power
-        + right.phase_power
-        + (left.x_mask & left.z_mask).bit_count()
-        + (right.x_mask & right.z_mask).bit_count()
-        + 2 * (left.z_mask & right.x_mask).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    return PauliString(left.n_sites, x3, z3, k)
-
-
 def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     """Apply a single-qubit unitary to one site's tensor factor."""
     site = _check_site(site, state.n_sites)
@@ -308,16 +238,6 @@ def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     block = state.amplitudes.reshape(upper, 2, lower)
     new = np.einsum("ab,ibj->iaj", gate, block).reshape(state.dim)
     return StateVector._trusted(state.n_sites, new)
-
-
-def expectation(state: StateVector, pauli: PauliString) -> float:
-    """<v|P|v> for a Hermitian Pauli string."""
-    if not pauli.is_hermitian:
-        raise ValidationError(f"expectation needs a Hermitian string, got phase {pauli.phase}")
-    value = complex(np.vdot(state.amplitudes, _apply_masks(pauli, state.amplitudes)))
-    if abs(value.imag) >= _NORM_TOL:
-        raise ValidationError(f"imaginary residue {value.imag!r} exceeds 1e-10")
-    return float(value.real)
 
 
 @dataclass(frozen=True)
@@ -340,6 +260,19 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _trusted(cls, sites: tuple[int, ...], matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap the reduced density of a valid state, unchecked.
+
+        Its trace is the state's squared norm, which may deviate from 1 by
+        about 2e-10: more than an outside matrix is allowed.
+        """
+        out = cls.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(out, "sites", sites)
+        object.__setattr__(out, "matrix", matrix)
+        return out
+
 
 def _check_density(matrix: np.ndarray) -> np.ndarray:
     """Complex array of a density matrix: square, Hermitian, unit trace, PSD.
@@ -351,6 +284,8 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"density matrix must be square and non-empty, got shape {mat.shape}"
         )
+    if not np.isfinite(mat).all():
+        raise ValidationError("density matrix has a non-finite entry")
     if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
         raise ValidationError("density matrix is not Hermitian within 1e-12")
     trace = complex(np.trace(mat))
@@ -368,7 +303,7 @@ def reduced_density(state: StateVector, sites: Sequence[int]) -> DensityMatrix:
         raise ValidationError("reduced_density supports 1 or 2 sites")
     if len(set(sites)) != len(sites):
         raise ValidationError(f"duplicate sites in {sites}")
-    return DensityMatrix(sites, _partial_trace(state.amplitudes, state.n_sites, sites))
+    return DensityMatrix._trusted(sites, _partial_trace(state.amplitudes, state.n_sites, sites))
 
 
 def _partial_trace(amps: np.ndarray, n_sites: int, sites: Sequence[int]) -> np.ndarray:

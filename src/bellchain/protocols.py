@@ -45,32 +45,24 @@ class ExtractionResult:
     fidelity: float
 
 
-def extract_pair(
-    state: StateVector, force: bool = False, purity_tolerance: float = _PURITY_TOL
-) -> ExtractionResult:
+def extract_pair(state: StateVector, force: bool = False) -> ExtractionResult:
     """Swap the boundary pair (1, N) out into fresh |00> sites.
 
     A pure boundary pair factorizes exactly, so the swap is exact
-    factor replacement.  If the pair purity falls below
-    1 - purity_tolerance the swap is no longer exact and a
-    PairNotPureError is raised unless ``force`` is set, in which case
-    the state is projected onto the dominant pair factor and the
-    recorded fidelity drops below 1.
+    factor replacement.  If the pair purity falls below 1 - 1e-6 the
+    swap is no longer exact and a PairNotPureError is raised unless
+    ``force`` is set, in which case the state is projected onto the
+    dominant pair factor and the recorded fidelity drops below 1.
     """
-    return _extract(state, reduced_density(state, (1, state.n_sites)), force, purity_tolerance)
+    return _extract(state, reduced_density(state, (1, state.n_sites)), force)
 
 
-def _extract(
-    state: StateVector,
-    rho: DensityMatrix,
-    force: bool = False,
-    purity_tolerance: float = _PURITY_TOL,
-) -> ExtractionResult:
+def _extract(state: StateVector, rho: DensityMatrix, force: bool = False) -> ExtractionResult:
     """:func:`extract_pair` given the boundary pair's reduced density ``rho``."""
     n = state.n_sites
     pair_purity = purity(rho)
-    if not force and pair_purity < 1.0 - purity_tolerance:
-        raise PairNotPureError(pair_purity, 1.0 - purity_tolerance)
+    if not force and pair_purity < 1.0 - _PURITY_TOL:
+        raise PairNotPureError(pair_purity, 1.0 - _PURITY_TOL)
     eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
     pair = eigenvectors[:, -1]
     # gauge: the lowest index among the largest components is real positive,

@@ -353,13 +353,6 @@ def perturbed_extraction_ref() -> dict:
     }
 
 
-def pauli_product_ref() -> dict:
-    """Dense product of the two N=3 bond operators."""
-    n = 3
-    product = letters_dense(n, {1: "Y", 2: "Y"}) @ letters_dense(n, {2: "X", 3: "X"})
-    return {"matrix": product, "letters": "YZX", "phase": [0.0, -1.0]}
-
-
 def build_reports() -> list:
     """Pair every reference value with its main-route counterpart."""
     from bellchain import (
@@ -377,14 +370,12 @@ def build_reports() -> list:
         heisenberg_evolve,
         ideal_matryoshka_state,
         matryoshka_time,
-        pauli_mul,
         reference_point_fidelity,
     )
     from bellchain.matryoshka import closest_bell
     from bellchain.oracle import (
         OracleReport,
         compare_states,
-        dense_pauli,
         exhaustive_pauli_decompose,
     )
 
@@ -571,21 +562,6 @@ def build_reports() -> list:
     reports.append(
         OracleReport("n3_perturbed_extraction", ref_case, main_case, discrepancy)
     )
-
-    # Pauli algebra spot check: (Y1 Y2)(X2 X3) = -i Y1 Z2 X3
-    ref_case = pauli_product_ref()
-    product = pauli_mul(
-        PauliString.from_letters("YYI"), PauliString.from_letters("IXX")
-    )
-    main_case = {
-        "matrix": dense_pauli(product),
-        "letters": product.letters,
-        "phase": [product.phase.real, product.phase.imag],
-    }
-    discrepancy = float(np.max(np.abs(ref_case["matrix"] - main_case["matrix"])))
-    if ref_case["letters"] != main_case["letters"]:
-        discrepancy = max(discrepancy, 1.0)
-    reports.append(OracleReport("pauli_product_yyxx", ref_case, main_case, discrepancy))
 
     return reports
 

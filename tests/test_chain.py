@@ -6,7 +6,6 @@ import pytest
 from bellchain import (
     ChainSpec,
     Pattern,
-    PauliString,
     ValidationError,
     build_hamiltonian,
     load_chain_config,
@@ -113,14 +112,6 @@ def test_apply_matches_dense():
     h = build_hamiltonian(spec)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     np.testing.assert_allclose(h.apply(amps), h.dense() @ amps, atol=1e-12)
-
-
-def test_terms_must_be_hermitian():
-    from bellchain import HamiltonianTerms
-
-    bad = PauliString.from_letters("XYZ", phase=1j)
-    with pytest.raises(ValidationError):
-        HamiltonianTerms(3, ((1.0, bad),))
 
 
 def test_config_round_trip(tmp_path):

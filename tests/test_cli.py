@@ -262,6 +262,15 @@ def test_overflowing_coupling_scale_exits_two(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["verify", "flux-check", "ghz"])
+def test_vanishing_coupling_scale_exits_two(capsys, command):
+    """A subnormal scale is positive and finite, but pi/(4 lam) overflows."""
+    assert main([command, "--n", "3", "--lam", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coupling scale 1e-320" in err
+    assert "time must be finite" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

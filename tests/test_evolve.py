@@ -31,6 +31,8 @@ def test_matryoshka_time_scales_inversely():
         matryoshka_time(0.0)
     with pytest.raises(ValidationError):
         matryoshka_time(1e308)  # 4 lam overflows, so t* would underflow to 0
+    with pytest.raises(ValidationError, match="coupling scale"):
+        matryoshka_time(1e-320)  # pi/(4 lam) overflows to inf
 
 
 def test_zero_time_is_identity():
@@ -192,6 +194,17 @@ def test_krylov_shrinks_the_step_when_the_full_basis_fails(monkeypatch):
     assert calls[0] > 2 * 10 * 8
 
 
+def test_krylov_tolerance_bounds_the_whole_evolution(monkeypatch):
+    # eight vectors need many short steps, whose error estimates must sum to 1e-10
+    rng = np.random.default_rng(14)
+    h = build_hamiltonian(random_custom_spec(rng, 7))
+    state = random_state(rng, 7)
+    monkeypatch.setattr(bellchain.evolve, "_KRYLOV_MAX_SUBSPACE", 8)
+    lazy = Propagator(h, method="krylov").evolve(state, 4.0)
+    reference = dense_expm_evolve(h, state, 4.0)
+    assert np.linalg.norm(lazy.amplitudes - reference.amplitudes) < 1e-10
+
+
 def test_krylov_gives_up_promptly(monkeypatch):
     monkeypatch.setattr(bellchain.evolve, "_KRYLOV_TOLERANCE", 1e-300)
     monkeypatch.setattr(bellchain.evolve, "_KRYLOV_MAX_SUBSPACE", 2)
@@ -306,7 +319,7 @@ def test_krylov_handles_product_start():
 
 def test_heisenberg_identity_is_fixed_point():
     h = build_hamiltonian(ChainSpec(3))
-    matrix = heisenberg_evolve(h, PauliString.identity(3), 0.77)
+    matrix = heisenberg_evolve(h, PauliString(3, 0, 0), 0.77)
     np.testing.assert_allclose(matrix, np.eye(8), atol=1e-12)
 
 
@@ -319,7 +332,7 @@ def test_heisenberg_closed_form_n3():
 
 def test_heisenberg_site_limits():
     with pytest.raises(ValidationError):
-        heisenberg_evolve(build_hamiltonian(ChainSpec(9)), PauliString.identity(9), 0.1)
+        heisenberg_evolve(build_hamiltonian(ChainSpec(9)), PauliString(9, 0, 0), 0.1)
 
 
 def test_reconstruction_from_coefficients():

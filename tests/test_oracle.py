@@ -9,7 +9,6 @@ from bellchain import (
     ValidationError,
     build_hamiltonian,
     matryoshka_time,
-    pauli_mul,
 )
 from bellchain.oracle import (
     OracleReport,
@@ -44,14 +43,6 @@ def test_evolved_states_still_match_frozen_reference(oracle_cases):
                 StateVector.zero_state(n), t
             )
             assert np.linalg.norm(state.amplitudes - reference) < 1e-8, case_id
-
-
-def test_dense_pauli_uses_phase():
-    product = pauli_mul(PauliString.from_letters("YYI"), PauliString.from_letters("IXX"))
-    direct = dense_pauli(PauliString.from_letters("YYI")) @ dense_pauli(
-        PauliString.from_letters("IXX")
-    )
-    np.testing.assert_allclose(dense_pauli(product), direct, atol=1e-14)
 
 
 def test_dense_hamiltonian_matches_terms():

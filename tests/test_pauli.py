@@ -6,12 +6,13 @@ from bellchain import (
     PauliString,
     StateVector,
     ValidationError,
+    bell_schedule,
     bit_label,
-    expectation,
+    extract_pair,
     gate_apply,
-    pauli_apply,
-    pauli_mul,
+    purity,
     reduced_density,
+    verify_matryoshka,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -51,71 +52,20 @@ def test_letters_round_trip():
     string = PauliString.from_letters("XIZY")
     assert string.letters == "XIZY"
     assert string.n_sites == 4
-    assert string.weight == 3
 
 
 def test_masks_must_be_integers():
-    for args in ((3, 1.5, 0), (3, 0, 2.0), (3, 1, 1, 0.0), (3, "1", 0), (3.0, 0, 0)):
+    for args in ((3, 1.5, 0), (3, 0, 2.0), (3, "1", 0), (3.0, 0, 0)):
         with pytest.raises(ValidationError, match="must be an integer"):
             PauliString(*args)
     # numpy integers are integers
-    string = PauliString(3, np.int64(3), np.int64(1), np.int64(2))
-    assert string.letters == "YXI" and string.phase == -1
+    string = PauliString(3, np.int64(3), np.int64(1))
+    assert string.letters == "YXI"
 
 
 def test_single_site_constructor():
     string = PauliString.single(5, 3, "Y")
     assert string.letters == "IIYII"
-
-
-def test_phase_tracking_yy_xx_product():
-    # (Y1 Y2)(X2 X3) = -i Y1 Z2 X3
-    product = pauli_mul(PauliString.from_letters("YYI"), PauliString.from_letters("IXX"))
-    assert product.letters == "YZX"
-    assert product.phase == pytest.approx(-1j)
-    assert not product.is_hermitian
-
-
-def test_mul_matches_dense_product():
-    rng = np.random.default_rng(11)
-    alphabet = np.array(list("IXYZ"))
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        a = PauliString.from_letters("".join(rng.choice(alphabet, size=n)))
-        b = PauliString.from_letters("".join(rng.choice(alphabet, size=n)))
-        np.testing.assert_allclose(
-            pauli_mul(a, b).dense(), a.dense() @ b.dense(), atol=1e-14
-        )
-
-
-def test_self_product_is_identity():
-    string = PauliString.from_letters("XYZY")
-    square = pauli_mul(string, string)
-    assert square.letters == "IIII"
-    assert square.phase == pytest.approx(1.0)
-
-
-def test_apply_matches_dense():
-    rng = np.random.default_rng(3)
-    alphabet = np.array(list("IXYZ"))
-    for _ in range(25):
-        n = int(rng.integers(3, 7))
-        if n % 2 == 0:
-            n += 1
-        letters = "".join(rng.choice(alphabet, size=n))
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(amps)
-        string = PauliString.from_letters(letters)
-        np.testing.assert_allclose(
-            pauli_apply(string, state).amplitudes, string.dense() @ amps, atol=1e-12
-        )
-
-
-def test_apply_preserves_norm():
-    state = StateVector.from_bits("10101")
-    out = pauli_apply(PauliString.from_letters("XYZXY"), state)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bit_order_site_one_is_lsb():
@@ -124,8 +74,9 @@ def test_bit_order_site_one_is_lsb():
     assert state.amplitudes[3] == pytest.approx(1.0)
     assert bit_label(3, 3) == "110"
     # Z on site 1 flips the sign of any odd index
-    assert expectation(state, PauliString.single(3, 1, "Z")) == pytest.approx(-1.0)
-    assert expectation(state, PauliString.single(3, 3, "Z")) == pytest.approx(1.0)
+    amps = state.amplitudes
+    assert np.vdot(amps, PauliString.single(3, 1, "Z").dense() @ amps) == pytest.approx(-1.0)
+    assert np.vdot(amps, PauliString.single(3, 3, "Z").dense() @ amps) == pytest.approx(1.0)
 
 
 def test_state_rejects_even_or_tiny_chains():
@@ -171,11 +122,6 @@ def test_dominant_components_ties_fall_to_basis_index():
     amps = np.full(8, 0.25, dtype=complex)
     amps[6] = np.sqrt(0.25)
     assert StateVector(amps, normalize=True).dominant_components()[0][0] == "011"
-
-
-def test_expectation_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        expectation(StateVector.zero_state(3), PauliString.from_letters("XYZ", phase=1j))
 
 
 def test_gate_apply_requires_unitary():
@@ -250,6 +196,35 @@ def test_sites_must_be_integers(call):
         assert np.all(run(good) == expected)
 
 
+def test_reduced_density_accepts_every_valid_state():
+    # the state contract allows a norm error up to 1e-10, so the trace may be 1 + 8e-11
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = 1 + 4e-11
+    state = StateVector(amps)
+    rho = reduced_density(state, (1, 3))
+    assert rho.matrix[0, 0] == pytest.approx(1.0)
+    assert verify_matryoshka(state, bell_schedule(3)).central_purity == pytest.approx(1.0)
+    assert extract_pair(state, force=True).purity == pytest.approx(1.0)
+    # a matrix passed in from outside still meets the 1e-12 trace check
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix((1, 3), rho.matrix)
+    with pytest.raises(ValidationError, match="trace"):
+        purity(rho.matrix)
+
+
+def test_non_finite_states_and_densities_are_rejected():
+    for bad in (np.nan, np.inf):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = bad
+        for normalize in (False, True):
+            with pytest.raises(ValidationError, match="not finite"):
+                StateVector(amps, normalize=normalize)
+        with pytest.raises(ValidationError, match="non-finite"):
+            purity(np.diag([bad, 0.5]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix((1,), np.full((2, 2), bad))
+
+
 def test_density_matrix_validates():
     good = DensityMatrix((1,), np.eye(2, dtype=complex) / 2)
     assert good.sites == (1,)
@@ -263,8 +238,3 @@ def test_density_matrix_leaves_the_callers_array_writable():
     m[0, 0] = 0.25
     assert rho.matrix[0, 0] == 0.5
     assert not rho.matrix.flags.writeable
-
-
-def test_pauli_mul_rejects_length_mismatch():
-    with pytest.raises(ValidationError):
-        pauli_mul(PauliString.from_letters("XX"), PauliString.from_letters("XXX"))

