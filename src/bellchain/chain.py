@@ -177,16 +177,58 @@ class HamiltonianTerms:
         every basis index.  Built on first use and shared by every exact
         evolution under this Hamiltonian, states and operators alike.
         """
-        n = self.n_sites
-        idx = np.arange(1 << n, dtype=np.int64)
         h = self.dense()
         if not h.imag.any():
             h = h.real
-        groups = [idx]
-        if all(string.x_mask.bit_count() % 2 == 0 for _, string in self.terms):
-            _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
-            groups = [idx[parity.real > 0], idx[parity.real < 0]]
-        return tuple((group, *np.linalg.eigh(h[np.ix_(group, group)])) for group in groups)
+        return tuple(
+            (group, *np.linalg.eigh(h[np.ix_(group, group)])) for group in self._parity_split()
+        )
+
+    @functools.cached_property
+    def _parity_sectors(self) -> tuple[tuple[np.ndarray, HamiltonianTerms], ...]:
+        """H on each Z-parity sector as an (N-1)-site term list: ``(indices, H_p)``.
+
+        In sector p site 1's bit is p xor the parity of sites 2..N, so
+        full index j sits at position j >> 1 of ``indices``, and site s of
+        H_p is site s + 1 of the chain.  There a term (x, z) becomes
+        (x >> 1, z'), with z' = z >> 1 and every bit of z' flipped when z
+        holds site 1 (Z_1 = (-1)^p Z_2...Z_N in sector p).  Its weight is
+        multiplied by i^Y(x, z) / i^Y(x >> 1, z'), Y counting the Y
+        letters, and negated when z holds site 1 and p = 1: for
+        Hermitian terms that factor is +-1.  Krylov evolution runs on
+        these half-length vectors.  Built on first use, so Hamiltonians
+        that are only diagonalised never pay for it.  A term list that
+        flips an odd number of spins keeps one sector: every index and H.
+        """
+        groups = self._parity_split()
+        if len(groups) == 1:
+            return ((groups[0], self),)
+        m = self.n_sites - 1
+        sectors = []
+        for p, idx in enumerate(groups):
+            terms = []
+            for weight, string in self.terms:
+                on_site_1 = string.z_mask & 1
+                x, z = string.x_mask >> 1, (string.z_mask >> 1) ^ (on_site_1 * ((1 << m) - 1))
+                # quarter turns of the factor: even for Hermitian terms
+                turns = (string.x_mask & string.z_mask).bit_count() - (x & z).bit_count()
+                turns += 2 * (on_site_1 & p)
+                terms.append((weight if turns % 4 == 0 else -weight, PauliString(m, x, z)))
+            sectors.append((idx, HamiltonianTerms(m, tuple(terms))))
+        return tuple(sectors)
+
+    def _parity_split(self) -> list[np.ndarray]:
+        """Basis indices of the even, then the odd popcount sector.
+
+        A term list that flips an odd number of spins does not conserve
+        the parity and keeps one list holding every basis index.
+        """
+        n = self.n_sites
+        idx = np.arange(1 << n, dtype=np.int64)
+        if any(string.x_mask.bit_count() % 2 for _, string in self.terms):
+            return [idx]
+        _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
+        return [idx[parity.real > 0], idx[parity.real < 0]]
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H @ v on a raw amplitude array, one flip-and-scale per x_mask group."""

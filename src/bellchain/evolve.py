@@ -4,7 +4,12 @@ Two interchangeable propagation methods are provided: a cached full
 eigendecomposition (default up to N = 12) and a matrix-free Lanczos
 Krylov method for longer chains.
 
-The Krylov method runs the plain three-term Lanczos recurrence, without
+The Krylov method evolves each Z-parity sector of the state on its own,
+under the Hamiltonian's (N-1)-site sector term list
+(``HamiltonianTerms._parity_sectors``), and skips a sector the state
+does not touch; the sectors are orthogonal, so the error of the whole
+is bounded by the sectors' bounds scaled by their norms.  In each
+sector it runs the plain three-term Lanczos recurrence, without
 reorthogonalisation: for exp(-iHt)|v> with Hermitian H the lost
 orthogonality of the basis does not spoil the result (Druskin,
 Greenbaum & Knizhnerman, SIAM J. Sci. Comput. 19, 38 (1998)).  The
@@ -15,6 +20,8 @@ in an evolution of length t is s/t, so the estimates of all steps sum
 to at most the tolerance.  When the full basis cannot carry the step,
 the step is halved on that same basis until it can; the method then
 continues from the time reached, trying the whole remaining time again.
+Its inner products are summed by numpy, in one thread, so its results
+do not depend on the BLAS thread count.
 
 The eigen method evolves block by block on the Z-parity blocks that
 the Hamiltonian diagonalises once, on first use, and keeps
@@ -84,10 +91,12 @@ class Propagator:
     The eigen method evolves each Z-parity block of the Hamiltonian's
     own diagonalisation (``HamiltonianTerms._eigen_blocks``, built on
     first use) on its own.  The Krylov method (plain Lanczos, stepped as
-    the module docstring describes) keeps a basis of at most 40 vectors
-    and refuses one of ``40 * 2^N * 16`` bytes larger than physical
-    memory.  Its error target, 1e-10, bounds the sum of the steps'
-    a-posteriori estimates over the whole evolution.
+    the module docstring describes) evolves each parity sector on its
+    own, on 2^(N-1) amplitudes, with a basis of at most 40 vectors; it
+    refuses a chain whose ``40 * 2^N * 16`` bytes, twice the basis of
+    one sector, exceed physical memory.  Its error target, 1e-10,
+    bounds the sum of the steps' a-posteriori estimates over the whole
+    evolution.
     """
 
     def __init__(self, hamiltonian: HamiltonianTerms, method: str = "auto"):
@@ -128,7 +137,11 @@ class Propagator:
             for idx, w, v in self.hamiltonian._eigen_blocks:
                 amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes[idx]))
         else:
-            amps = _krylov_expm(self.hamiltonian.apply, state.amplitudes, t)
+            amps = np.zeros(state.dim, dtype=complex)
+            for idx, sector in self.hamiltonian._parity_sectors:
+                part = state.amplitudes[idx]
+                if part.any():
+                    amps[idx] = _krylov_expm(sector.apply, part, t)
         if not np.isfinite(amps).all():
             raise BellchainError(_NOT_FINITE)
         return StateVector._trusted(state.n_sites, amps)
@@ -141,7 +154,7 @@ def _krylov_expm(
 ) -> np.ndarray:
     """Lanczos propagation in steps that each try the whole remaining time.
 
-    All steps share one preallocated ``(_KRYLOV_MAX_SUBSPACE, 2^N)`` basis.
+    All steps share one preallocated ``(_KRYLOV_MAX_SUBSPACE, amplitudes.size)`` basis.
     """
     if t == 0.0:
         return amplitudes.copy()
@@ -173,18 +186,18 @@ def _lanczos_step(
     passes; below |t| / ``_MAX_SUBSTEPS`` the propagation gives up.
     Returns ``(result, s)``.
     """
-    norm0 = np.linalg.norm(v)
+    norm0 = math.sqrt(_real_dot(v, v))
     basis[0] = v / norm0
     alphas: list[float] = []
     betas: list[float] = []
     for j in range(basis.shape[0]):
         w = apply_h(basis[j])
-        alpha = float(np.real(np.vdot(basis[j], w)))
+        alpha = _real_dot(basis[j], w)
         w -= alpha * basis[j]
         if j > 0:
             w -= betas[j - 1] * basis[j - 1]
         alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(_real_dot(w, w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise BellchainError(_NOT_FINITE)
         w_small, q_small = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
@@ -208,6 +221,17 @@ def _lanczos_step(
             coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
     m = len(alphas)
     return norm0 * (coefficients @ basis[:m]), dt
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a|b> of two contiguous complex vectors, summed by numpy's einsum loop.
+
+    BLAS (``np.vdot``, ``np.linalg.norm``) splits long sums over its
+    threads, so its rounding, and with it every Krylov artifact, would
+    depend on the thread count.  einsum runs in one thread; over the
+    interleaved real and imaginary parts it is a single real dot product.
+    """
+    return float(np.einsum("i,i->", a.view(np.float64), b.view(np.float64)))
 
 
 def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from .chain import ChainSpec, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
 from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, reduced_density
+from .pauli import _complex_array
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -69,7 +70,7 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
     sqrt(<b|rho|b>) for matrices.  Ties keep the first label in enum
     order, so the result is deterministic.
     """
-    pair = np.asarray(pair, dtype=complex)
+    pair = _complex_array(pair, "pair")
     best_label, best_fid = None, -1.0
     for label in BellLabel:
         b = _BELL_TABLE[label]

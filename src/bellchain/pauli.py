@@ -124,7 +124,7 @@ class StateVector:
     __slots__ = ("n_sites", "_amps")
 
     def __init__(self, amplitudes: Iterable[complex], *, normalize: bool = False):
-        amps = np.array(amplitudes, dtype=complex).ravel()
+        amps = _complex_array(amplitudes, "amplitudes").ravel()
         n = int(amps.size).bit_length() - 1
         if amps.size != (1 << n):
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
@@ -209,6 +209,14 @@ def bit_label(index: int, n_sites: int) -> str:
     return "".join("1" if (index >> p) & 1 else "0" for p in range(n_sites))
 
 
+def _complex_array(values, name: str) -> np.ndarray:
+    """A new complex array of ``values``, which must all be numbers."""
+    try:
+        return np.array(values, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numbers") from None
+
+
 def _check_chain_length(n_sites: int) -> None:
     if n_sites < 3 or n_sites % 2 == 0:
         raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
@@ -228,7 +236,7 @@ def _check_site(site: int, n_sites: int) -> int:
 def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     """Apply a single-qubit unitary to one site's tensor factor."""
     site = _check_site(site, state.n_sites)
-    gate = np.asarray(gate, dtype=complex)
+    gate = _complex_array(gate, "gate")
     if gate.shape != (2, 2):
         raise ValidationError(f"gate must be 2x2, got {gate.shape}")
     if np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > _HERM_TOL:
@@ -252,7 +260,7 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = _complex_array(self.matrix, "density matrix")
         dim = 1 << len(self.sites)
         if mat.shape != (dim, dim):
             raise ValidationError(f"matrix shape {mat.shape} does not fit sites {self.sites}")
@@ -279,7 +287,7 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
 
     Each property must hold within 1e-12.
     """
-    mat = np.asarray(matrix, dtype=complex)
+    mat = _complex_array(matrix, "density matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise ValidationError(
             f"density matrix must be square and non-empty, got shape {mat.shape}"

@@ -16,6 +16,7 @@ from bellchain import (
     StateVector,
     ValidationError,
     build_hamiltonian,
+    gate_apply,
     heisenberg_evolve,
     matryoshka_time,
 )
@@ -119,6 +120,8 @@ _HAND_BUILT = [
     (_terms(3, (0.7, "XII"), (0.5, "IZI")), 1, np.float64),
     # parity-conserving but imaginary (XY - YX is a Dzyaloshinskii-Moriya bond)
     (_terms(3, (0.6, "XYI"), (-0.6, "YXI"), (0.9, "IXX"), (0.2, "ZII")), 2, np.complex128),
+    # single-site X plus ZZ bonds
+    (_terms(3, (0.8, "IXI"), (0.5, "ZZI"), (-0.3, "IZZ")), 1, np.float64),
 ]
 
 
@@ -129,6 +132,10 @@ def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
     assert len(h._eigen_blocks) == n_blocks
     assert sorted(np.concatenate([idx for idx, _, _ in h._eigen_blocks])) == list(range(8))
     assert all(v.dtype == dtype for _, _, v in h._eigen_blocks)
+    sectors = h._parity_sectors
+    assert [idx.tolist() for idx, _ in sectors] == [idx.tolist() for idx, _, _ in h._eigen_blocks]
+    if n_blocks == 1:
+        assert sectors[0][1] is h  # a parity-breaking term list keeps H on the full space
     state = random_state(rng, 3)
     np.testing.assert_allclose(
         h.apply(state.amplitudes), h.dense() @ state.amplitudes, rtol=0, atol=1e-12
@@ -137,7 +144,7 @@ def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
         reference = dense_expm_evolve(h, state, t).amplitudes
         lazy = Propagator(h, method="krylov").evolve(state, t).amplitudes
         np.testing.assert_allclose(eager.evolve(state, t).amplitudes, reference, atol=1e-12)
-        np.testing.assert_allclose(lazy, reference, atol=1e-8)
+        np.testing.assert_allclose(lazy, reference, atol=1e-9)
     pauli = PauliString.from_letters("XIY")
     matrix = heisenberg_evolve(h, pauli, 0.8)
     u = scipy.linalg.expm(-0.8j * h.dense())
@@ -167,17 +174,23 @@ def _count_applies(monkeypatch) -> list[int]:
 
 def test_krylov_matches_independent_routes_backwards_in_time():
     rng = np.random.default_rng(13)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     for n in (9, 11):
         h = build_hamiltonian(random_custom_spec(rng, n))
-        state = random_state(rng, n)
+        # both fill the two parity sectors: a random state, and a Hadamard on the middle site
+        states = (
+            random_state(rng, n),
+            gate_apply(StateVector.zero_state(n), (n + 1) // 2, hadamard),
+        )
         t = float(-rng.uniform(0.5, 2.0))
-        # the dense expm oracle stops at 10 sites; at 11 the exact eigen route stands in
-        if n < 11:
-            expected = dense_expm_evolve(h, state, t)
-        else:
-            expected = Propagator(h, method="eigen").evolve(state, t)
-        lazy = Propagator(h, method="krylov").evolve(state, t)
-        assert np.linalg.norm(lazy.amplitudes - expected.amplitudes) < 1e-9
+        for state in states:
+            # the dense expm oracle stops at 10 sites; at 11 the exact eigen route stands in
+            if n < 11:
+                expected = dense_expm_evolve(h, state, t)
+            else:
+                expected = Propagator(h, method="eigen").evolve(state, t)
+            lazy = Propagator(h, method="krylov").evolve(state, t)
+            assert np.linalg.norm(lazy.amplitudes - expected.amplitudes) < 1e-9
 
 
 def test_krylov_shrinks_the_step_when_the_full_basis_fails(monkeypatch):
@@ -224,6 +237,20 @@ def test_krylov_stops_at_the_first_converged_basis(monkeypatch):
     assert 0 < calls[0] < 40
 
 
+def test_krylov_evolves_a_definite_parity_on_half_the_amplitudes(monkeypatch):
+    sizes = []
+    original = HamiltonianTerms.apply
+
+    def recorded(self, amplitudes):
+        sizes.append(amplitudes.size)
+        return original(self, amplitudes)
+
+    monkeypatch.setattr(HamiltonianTerms, "apply", recorded)
+    propagator = Propagator(build_hamiltonian(ChainSpec(13)), method="krylov")
+    propagator.evolve(StateVector.zero_state(13), matryoshka_time())
+    assert sizes and set(sizes) == {1 << 12}
+
+
 def test_krylov_basis_must_fit_in_memory(monkeypatch):
     with pytest.raises(ValidationError, match="physical memory"):
         Propagator(build_hamiltonian(ChainSpec(31)), method="krylov")
@@ -252,17 +279,26 @@ def test_chain_hamiltonians_split_into_two_real_parity_blocks(n):
     ]
     half = 1 << (n - 1)
     for spec in specs:
-        blocks = build_hamiltonian(spec)._eigen_blocks
+        h = build_hamiltonian(spec)
+        blocks = h._eigen_blocks
         assert len(blocks) == 2
         for (idx, w, v), parity in zip(blocks, (0, 1)):
             assert idx.shape == (half,) and w.shape == (half,) and v.shape == (half, half)
             assert w.dtype == np.float64 and v.dtype == np.float64
             assert all(int(i).bit_count() % 2 == parity for i in idx)
+        # the Krylov sectors: the same blocks of H, as (N-1)-site term lists
+        dense = h.dense()
+        for (idx, sector), (block_idx, _, _) in zip(h._parity_sectors, blocks, strict=True):
+            assert sector.n_sites == n - 1 and np.array_equal(idx, block_idx)
+            np.testing.assert_array_equal(sector.dense(), dense[np.ix_(idx, idx)])
 
 
 def test_auto_method_picks_eigen_for_small_chains():
-    propagator = Propagator(build_hamiltonian(ChainSpec(3)))
+    h = build_hamiltonian(ChainSpec(3))
+    propagator = Propagator(h)
     assert propagator.method == "eigen"
+    propagator.evolve(StateVector.zero_state(3), 0.3)
+    assert "_parity_sectors" not in h.__dict__  # the Krylov sectors are never built
 
 
 def test_method_validation():

@@ -8,6 +8,7 @@ from bellchain import (
     ValidationError,
     bell_schedule,
     bit_label,
+    closest_bell,
     extract_pair,
     gate_apply,
     purity,
@@ -223,6 +224,22 @@ def test_non_finite_states_and_densities_are_rejected():
             purity(np.diag([bad, 0.5]))
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix((1,), np.full((2, 2), bad))
+
+
+def test_non_numeric_amplitudes_are_rejected():
+    with pytest.raises(ValidationError, match="amplitudes must be numbers"):
+        StateVector(["a"] * 8)
+
+
+def test_non_numeric_matrices_are_rejected():
+    with pytest.raises(ValidationError, match="density matrix must be numbers"):
+        purity([["a", "b"], ["c", "d"]])
+    with pytest.raises(ValidationError, match="density matrix must be numbers"):
+        DensityMatrix((1,), [["a", "b"], ["c", "d"]])
+    with pytest.raises(ValidationError, match="gate must be numbers"):
+        gate_apply(StateVector.zero_state(3), 1, [["a", "b"], ["c", "d"]])
+    with pytest.raises(ValidationError, match="pair must be numbers"):
+        closest_bell(["a"] * 4)
 
 
 def test_density_matrix_validates():
