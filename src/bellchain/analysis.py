@@ -45,7 +45,10 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     descending and combined as max(0, l1 - l2 - l3 - l4).  Eigenvalues
     below 1e-12 are treated as exact zeros before the square root;
     otherwise rounding noise in near-pure inputs is amplified to the
-    1e-8 scale by the root.
+    1e-8 scale by the root.  Small eigenvalues above the cutoff still
+    pass through the root, so a concurrence near 1 is ill-conditioned:
+    states within 5e-16 of each other gave concurrences 1.9e-12 apart.
+    Compare two routes by their states, not by their concurrences.
     """
     mat = _density_array(rho, dim=4)
     yy = np.zeros((4, 4), dtype=complex)

@@ -165,28 +165,28 @@ class HamiltonianTerms:
         return tuple(groups)
 
     @functools.cached_property
-    def _eigen_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """H diagonalised block by block: ``(indices, eigenvalues, eigenvectors)``.
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(eigenvalues, eigenvectors)`` of ``dense()``, computed on first use and kept.
 
-        Every XX or YY bond flips two spins, so a chain Hamiltonian
-        commutes with the total parity prod_i Z_i and splits into an even
-        and an odd popcount block of size 2^(N-1) each; with XX, YY and Z
-        terms it is also real symmetric, so each block is diagonalised in
-        real arithmetic.  A term list that flips an odd number of spins,
-        or has complex entries, keeps one block (real or complex) holding
-        every basis index.  Built on first use and shared by every exact
-        evolution under this Hamiltonian, states and operators alike.
+        Taken in real arithmetic when the matrix has no imaginary part.
+        Every exact evolution under this Hamiltonian, of states and
+        operators alike, shares it.
         """
         h = self.dense()
         if not h.imag.any():
             h = h.real
-        return tuple(
-            (group, *np.linalg.eigh(h[np.ix_(group, group)])) for group in self._parity_split()
-        )
+        return np.linalg.eigh(h)
 
     @functools.cached_property
     def _parity_sectors(self) -> tuple[tuple[np.ndarray, HamiltonianTerms], ...]:
         """H on each Z-parity sector as an (N-1)-site term list: ``(indices, H_p)``.
+
+        Every XX or YY bond flips two spins, so a chain Hamiltonian
+        commutes with the total parity prod_i Z_i and splits into an even
+        and an odd popcount sector of 2^(N-1) basis indices each, in that
+        order; with XX, YY and Z terms each sector is also real symmetric,
+        so it is diagonalised in real arithmetic.  A term list that flips
+        an odd number of spins keeps one sector: every index and H itself.
 
         In sector p site 1's bit is p xor the parity of sites 2..N, so
         full index j sits at position j >> 1 of ``indices``, and site s of
@@ -195,17 +195,17 @@ class HamiltonianTerms:
         holds site 1 (Z_1 = (-1)^p Z_2...Z_N in sector p).  Its weight is
         multiplied by i^Y(x, z) / i^Y(x >> 1, z'), Y counting the Y
         letters, and negated when z holds site 1 and p = 1: for
-        Hermitian terms that factor is +-1.  Krylov evolution runs on
-        these half-length vectors.  Built on first use, so Hamiltonians
-        that are only diagonalised never pay for it.  A term list that
-        flips an odd number of spins keeps one sector: every index and H.
+        Hermitian terms that factor is +-1.  Both propagators and U^dag P U
+        run on these sectors.  Built on first use.
         """
-        groups = self._parity_split()
-        if len(groups) == 1:
-            return ((groups[0], self),)
-        m = self.n_sites - 1
+        n = self.n_sites
+        idx = np.arange(1 << n, dtype=np.int64)
+        if any(string.x_mask.bit_count() % 2 for _, string in self.terms):
+            return ((idx, self),)
+        _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
+        m = n - 1
         sectors = []
-        for p, idx in enumerate(groups):
+        for p, sector_idx in enumerate((idx[parity.real > 0], idx[parity.real < 0])):
             terms = []
             for weight, string in self.terms:
                 on_site_1 = string.z_mask & 1
@@ -214,21 +214,8 @@ class HamiltonianTerms:
                 turns = (string.x_mask & string.z_mask).bit_count() - (x & z).bit_count()
                 turns += 2 * (on_site_1 & p)
                 terms.append((weight if turns % 4 == 0 else -weight, PauliString(m, x, z)))
-            sectors.append((idx, HamiltonianTerms(m, tuple(terms))))
+            sectors.append((sector_idx, HamiltonianTerms(m, tuple(terms))))
         return tuple(sectors)
-
-    def _parity_split(self) -> list[np.ndarray]:
-        """Basis indices of the even, then the odd popcount sector.
-
-        A term list that flips an odd number of spins does not conserve
-        the parity and keeps one list holding every basis index.
-        """
-        n = self.n_sites
-        idx = np.arange(1 << n, dtype=np.int64)
-        if any(string.x_mask.bit_count() % 2 for _, string in self.terms):
-            return [idx]
-        _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
-        return [idx[parity.real > 0], idx[parity.real < 0]]
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H @ v on a raw amplitude array, one flip-and-scale per x_mask group."""

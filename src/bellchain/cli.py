@@ -281,6 +281,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ratios = tuple(float(piece) for piece in args.b3.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse b3 ratio list {args.b3!r}") from None
+    names = [f"b3_{ratio:g}" for ratio in ratios]
+    if len(set(names)) < len(names) or len(set(ratios)) < len(ratios):
+        raise ValidationError(f"b3 ratio list {args.b3!r} repeats a slice: {names}")
     results = field_sweep(spec, args.grid, ratios, t_star)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

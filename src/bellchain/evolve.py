@@ -2,12 +2,16 @@
 
 Two interchangeable propagation methods are provided: a cached full
 eigendecomposition (default up to N = 12) and a matrix-free Lanczos
-Krylov method for longer chains.
+Krylov method for longer chains.  Both evolve each Z-parity sector of
+the state on its own, under the Hamiltonian's (N-1)-site sector term
+list (``HamiltonianTerms._parity_sectors``), and skip a sector the
+state does not touch.
 
-The Krylov method evolves each Z-parity sector of the state on its own,
-under the Hamiltonian's (N-1)-site sector term list
-(``HamiltonianTerms._parity_sectors``), and skips a sector the state
-does not touch; the sectors are orthogonal, so the error of the whole
+The eigen method diagonalises a sector once, on first use
+(``HamiltonianTerms._eigh``), and every exact evolution of states or
+operators under one Hamiltonian shares that diagonalisation.
+
+The sectors are orthogonal, so the Krylov method's error of the whole
 is bounded by the sectors' bounds scaled by their norms.  In each
 sector it runs the plain three-term Lanczos recurrence, without
 reorthogonalisation: for exp(-iHt)|v> with Hermitian H the lost
@@ -22,11 +26,6 @@ the step is halved on that same basis until it can; the method then
 continues from the time reached, trying the whole remaining time again.
 Its inner products are summed by numpy, in one thread, so its results
 do not depend on the BLAS thread count.
-
-The eigen method evolves block by block on the Z-parity blocks that
-the Hamiltonian diagonalises once, on first use, and keeps
-(``HamiltonianTerms._eigen_blocks``), so every exact evolution of
-states or operators under one Hamiltonian shares one diagonalisation.
 
 Timing convention: with the Hamiltonian written in bare Pauli
 operators (no factor 1/2) and the built-in coupling profile
@@ -88,11 +87,11 @@ class Propagator:
         "eigen", "krylov", or "auto" (eigen up to 12 sites, Krylov
         beyond).  The eigen method refuses chains longer than 12 sites.
 
-    The eigen method evolves each Z-parity block of the Hamiltonian's
-    own diagonalisation (``HamiltonianTerms._eigen_blocks``, built on
-    first use) on its own.  The Krylov method (plain Lanczos, stepped as
-    the module docstring describes) evolves each parity sector on its
-    own, on 2^(N-1) amplitudes, with a basis of at most 40 vectors; it
+    Both methods evolve each Z-parity sector the state touches on its
+    own, on 2^(N-1) amplitudes.  The eigen method uses the sector's
+    cached diagonalisation (``HamiltonianTerms._eigh``, built on first
+    use).  The Krylov method (plain Lanczos, stepped as the module
+    docstring describes) uses a basis of at most 40 vectors; it
     refuses a chain whose ``40 * 2^N * 16`` bytes, twice the basis of
     one sector, exceed physical memory.  Its error target, 1e-10,
     bounds the sum of the steps' a-posteriori estimates over the whole
@@ -122,26 +121,27 @@ class Propagator:
         self.method = method
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
-        """exp(-iHt)|v>, deterministic and norm-preserving.
+        """exp(-iHt)|v>, one parity sector the state touches at a time.
 
-        Raises BellchainError when the result is not finite, which happens
-        when the Hamiltonian or the time overflows double precision.
+        Deterministic and norm-preserving.  Raises BellchainError when the
+        result is not finite, which happens when the Hamiltonian or the
+        time overflows double precision.
         """
         if state.n_sites != self.hamiltonian.n_sites:
             raise DimensionMismatchError(
                 f"state has {state.n_sites} sites, Hamiltonian {self.hamiltonian.n_sites}"
             )
         _check_finite("time", t)
-        if self.method == "eigen":
-            amps = np.empty(state.dim, dtype=complex)
-            for idx, w, v in self.hamiltonian._eigen_blocks:
-                amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes[idx]))
-        else:
-            amps = np.zeros(state.dim, dtype=complex)
-            for idx, sector in self.hamiltonian._parity_sectors:
-                part = state.amplitudes[idx]
-                if part.any():
-                    amps[idx] = _krylov_expm(sector.apply, part, t)
+        amps = np.zeros(state.dim, dtype=complex)
+        for idx, sector in self.hamiltonian._parity_sectors:
+            part = state.amplitudes[idx]
+            if not part.any():
+                continue
+            if self.method == "eigen":
+                w, v = sector._eigh
+                amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ part))
+            else:
+                amps[idx] = _krylov_expm(sector.apply, part, t)
         if not np.isfinite(amps).all():
             raise BellchainError(_NOT_FINITE)
         return StateVector._trusted(state.n_sites, amps)
@@ -237,9 +237,10 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
 def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: float) -> np.ndarray:
     """U(t)^dag P U(t) as a dense 2^N x 2^N matrix, for up to 8 sites.
 
-    U(t) is assembled block by block from the Hamiltonian's own
-    parity-block diagonalisation, which :class:`Propagator` shares.  Raises
-    BellchainError when the result is not finite.
+    U(t) is assembled sector by sector from each parity sector's cached
+    diagonalisation, which the eigen :class:`Propagator` shares, so both
+    sectors are diagonalised whatever the state.  Raises BellchainError
+    when the result is not finite.
     """
     n = hamiltonian.n_sites
     if n > _DENSE_OPERATOR_MAX_SITES:
@@ -250,7 +251,8 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
         raise DimensionMismatchError("operator length does not match the Hamiltonian")
     _check_finite("time", t)
     u = np.zeros((1 << n, 1 << n), dtype=complex)
-    for idx, w, v in hamiltonian._eigen_blocks:
+    for idx, sector in hamiltonian._parity_sectors:
+        w, v = sector._eigh
         u[np.ix_(idx, idx)] = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
     evolved = u.conj().T @ pauli.dense() @ u
     if not np.isfinite(evolved).all():

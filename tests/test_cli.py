@@ -380,10 +380,13 @@ def test_sweep_files_and_determinism(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_b3_list(capsys, tmp_path):
-    code = main(["sweep", "--n", "3", "--b3", "0,x", "--out-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "b3 ratio" in captured.err
+    # two slices named alike would write one CSV over the other; 0 and -0 are one slice
+    for b3 in ("0,x", "0.05,0.050000001", "0,0", "0,-0"):
+        code = main(["sweep", "--n", "3", "--grid", "3", "--b3", b3, "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "b3 ratio" in captured.err
+        assert not any(tmp_path.iterdir())  # rejected before any slice is written
 
 
 def test_module_entry_point():

@@ -112,7 +112,7 @@ def _terms(n_sites: int, *weighted: tuple[float, str]) -> HamiltonianTerms:
     )
 
 
-# (terms, number of parity blocks, eigenvector dtype)
+# (terms, number of parity sectors, eigenvector dtype)
 _HAND_BUILT = [
     # one spin flip and an imaginary Y: neither parity-conserving nor real
     (_terms(3, (0.7, "XII"), (0.4, "IYI"), (0.3, "ZZZ")), 1, np.complex128),
@@ -125,20 +125,24 @@ _HAND_BUILT = [
 ]
 
 
-@pytest.mark.parametrize("h, n_blocks, dtype", _HAND_BUILT)
-def test_eigen_blocks_follow_the_terms(h, n_blocks, dtype):
+@pytest.mark.parametrize("h, n_sectors, dtype", _HAND_BUILT)
+def test_eigen_blocks_follow_the_terms(h, n_sectors, dtype):
     rng = np.random.default_rng(11)
     eager = Propagator(h, method="eigen")
-    assert len(h._eigen_blocks) == n_blocks
-    assert sorted(np.concatenate([idx for idx, _, _ in h._eigen_blocks])) == list(range(8))
-    assert all(v.dtype == dtype for _, _, v in h._eigen_blocks)
     sectors = h._parity_sectors
-    assert [idx.tolist() for idx, _ in sectors] == [idx.tolist() for idx, _, _ in h._eigen_blocks]
-    if n_blocks == 1:
+    assert len(sectors) == n_sectors
+    assert sorted(np.concatenate([idx for idx, _ in sectors])) == list(range(8))
+    if n_sectors == 1:
         assert sectors[0][1] is h  # a parity-breaking term list keeps H on the full space
+    dense = h.dense()
+    for idx, sector in sectors:
+        assert sector.n_sites == 4 - n_sectors
+        np.testing.assert_array_equal(sector.dense(), dense[np.ix_(idx, idx)])
+        w, v = sector._eigh
+        assert w.dtype == np.float64 and v.dtype == dtype
     state = random_state(rng, 3)
     np.testing.assert_allclose(
-        h.apply(state.amplitudes), h.dense() @ state.amplitudes, rtol=0, atol=1e-12
+        h.apply(state.amplitudes), dense @ state.amplitudes, rtol=0, atol=1e-12
     )
     for t in (0.3, -1.7, 4.2):
         reference = dense_expm_evolve(h, state, t).amplitudes
@@ -280,17 +284,25 @@ def test_chain_hamiltonians_split_into_two_real_parity_blocks(n):
     half = 1 << (n - 1)
     for spec in specs:
         h = build_hamiltonian(spec)
-        blocks = h._eigen_blocks
-        assert len(blocks) == 2
-        for (idx, w, v), parity in zip(blocks, (0, 1)):
-            assert idx.shape == (half,) and w.shape == (half,) and v.shape == (half, half)
-            assert w.dtype == np.float64 and v.dtype == np.float64
-            assert all(int(i).bit_count() % 2 == parity for i in idx)
-        # the Krylov sectors: the same blocks of H, as (N-1)-site term lists
+        sectors = h._parity_sectors
+        assert len(sectors) == 2
         dense = h.dense()
-        for (idx, sector), (block_idx, _, _) in zip(h._parity_sectors, blocks, strict=True):
-            assert sector.n_sites == n - 1 and np.array_equal(idx, block_idx)
+        for (idx, sector), parity in zip(sectors, (0, 1)):
+            assert idx.shape == (half,) and sector.n_sites == n - 1
+            assert all(int(i).bit_count() % 2 == parity for i in idx)
             np.testing.assert_array_equal(sector.dense(), dense[np.ix_(idx, idx)])
+            w, v = sector._eigh
+            assert w.shape == (half,) and v.shape == (half, half)
+            assert w.dtype == np.float64 and v.dtype == np.float64
+
+
+def test_parity_sectors_are_exact_slices_at_11_sites():
+    # beyond the oracle's 10 sites, eigen and Krylov are each other's only
+    # reference, and both run on these sectors
+    h = build_hamiltonian(random_custom_spec(np.random.default_rng(111), 11))
+    dense = h.dense()
+    for idx, sector in h._parity_sectors:
+        np.testing.assert_array_equal(sector.dense(), dense[np.ix_(idx, idx)])
 
 
 def test_auto_method_picks_eigen_for_small_chains():
@@ -298,7 +310,33 @@ def test_auto_method_picks_eigen_for_small_chains():
     propagator = Propagator(h)
     assert propagator.method == "eigen"
     propagator.evolve(StateVector.zero_state(3), 0.3)
-    assert "_parity_sectors" not in h.__dict__  # the Krylov sectors are never built
+
+
+def test_eigen_route_diagonalises_only_the_sectors_it_touches(monkeypatch):
+    sizes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    zero = StateVector.zero_state(9)
+    # |0..0> is even, so the odd sector is never diagonalised
+    Propagator(build_hamiltonian(ChainSpec(9)), method="eigen").evolve(zero, 0.7)
+    assert sizes == [256]
+    sizes.clear()
+    # a Hadamard on the middle site fills both sectors
+    propagator = Propagator(build_hamiltonian(ChainSpec(9)), method="eigen")
+    mixed = gate_apply(zero, 5, hadamard)
+    propagator.evolve(mixed, 0.7)
+    assert sizes == [256, 256]
+    sizes.clear()
+    # the Hamiltonian keeps its sectors' diagonalisations
+    propagator.evolve(mixed, -1.1)
+    Propagator(propagator.hamiltonian, method="eigen").evolve(zero, 0.7)
+    assert sizes == []
 
 
 def test_method_validation():
