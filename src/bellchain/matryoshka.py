@@ -71,15 +71,14 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
     order, so the result is deterministic.
     """
     pair = _complex_array(pair, "pair")
+    if pair.shape not in ((4,), (4, 4)):
+        raise ValidationError(f"expected a 4-vector or 4x4 matrix, got shape {pair.shape}")
+    if not np.isfinite(pair).all():
+        raise ValidationError("pair entries must be finite")
     best_label, best_fid = None, -1.0
     for label in BellLabel:
         b = _BELL_TABLE[label]
-        if pair.shape == (4,):
-            fid = abs(np.vdot(b, pair))
-        elif pair.shape == (4, 4):
-            fid = _mixed_bell_fidelity(b, pair)
-        else:
-            raise ValidationError(f"expected a 4-vector or 4x4 matrix, got shape {pair.shape}")
+        fid = abs(np.vdot(b, pair)) if pair.ndim == 1 else _mixed_bell_fidelity(b, pair)
         if fid > best_fid:
             best_label, best_fid = label, fid
     return best_label, best_fid

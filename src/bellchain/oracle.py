@@ -1,16 +1,16 @@
-"""Independent brute-force references for validating the main code paths.
+"""Brute-force dense primitives for checking the main code paths.
 
 Everything here deliberately avoids the bitmask machinery the rest of
 the package runs on: operators are materialized with explicit Kronecker
 products and states are evolved through scipy's Pade scaling-and-squaring
 matrix exponential, so agreement with the Propagator catches
-common-mode bugs rather than reproducing them.
+common-mode bugs rather than reproducing them.  Tests call these live;
+the protocol-level reference routes are test-side and package-free.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -106,51 +106,3 @@ def exhaustive_pauli_decompose(matrix: np.ndarray) -> list[tuple[complex, PauliS
             out.append((coefficient, string))
     out.sort(key=lambda item: (-abs(item[0]), item[1].letters))
     return out
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """A frozen comparison between a reference and the main code path."""
-
-    case_id: str
-    reference_value: object
-    main_value: object
-    discrepancy: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "reference_value": _jsonify(self.reference_value),
-            "main_value": _jsonify(self.main_value),
-            "discrepancy": self.discrepancy,
-        }
-
-
-def _jsonify(value: object) -> object:
-    if isinstance(value, StateVector):
-        value = value.amplitudes
-    if isinstance(value, np.ndarray):
-        flat = np.asarray(value, dtype=complex)
-        return [[float(a.real), float(a.imag)] for a in flat.ravel()]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (float, int, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    raise ValidationError(f"cannot serialize oracle value of type {type(value)!r}")
-
-
-def state_discrepancy(reference: StateVector, main: StateVector) -> float:
-    """Phase-invariant distance: 1 - |<reference|main>|, floored at 0."""
-    return max(0.0, 1.0 - abs(reference.inner(main)))
-
-
-def compare_states(case_id: str, reference: StateVector, main: StateVector) -> OracleReport:
-    return OracleReport(case_id, reference, main, state_discrepancy(reference, main))
-
-
-def compare_scalars(case_id: str, reference: float, main: float) -> OracleReport:
-    return OracleReport(case_id, float(reference), float(main), abs(reference - main))

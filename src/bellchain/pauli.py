@@ -239,6 +239,8 @@ def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     gate = _complex_array(gate, "gate")
     if gate.shape != (2, 2):
         raise ValidationError(f"gate must be 2x2, got {gate.shape}")
+    if not np.isfinite(gate).all():
+        raise ValidationError("gate entries must be finite")
     if np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > _HERM_TOL:
         raise ValidationError("gate is not unitary within 1e-12")
     lower = 1 << (site - 1)

@@ -7,11 +7,6 @@ import numpy as np
 from bellchain import ChainSpec, Pattern, StateVector
 
 
-def unpack_complex(pairs) -> np.ndarray:
-    """[[re, im], ...] back into a complex vector."""
-    return np.array([complex(re, im) for re, im in pairs])
-
-
 def random_state(rng: np.random.Generator, n_sites: int) -> StateVector:
     amps = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
     return StateVector(amps / np.linalg.norm(amps))

@@ -20,6 +20,7 @@ from bellchain import (
     sweep_to_csv,
 )
 from bellchain.oracle import dense_expm_evolve
+from _reference import reference_point_ref, sweep_minima_ref
 
 
 def bell_rho(label: BellLabel) -> np.ndarray:
@@ -120,8 +121,8 @@ def test_field_sweep_origin_and_ordering():
     )
 
 
-def test_sweep_minima_match_oracle(oracle_cases):
-    reference = oracle_cases["sweep_minima_21"]["reference_value"]
+def test_sweep_minima_match_oracle():
+    reference = sweep_minima_ref()
     results = field_sweep(ChainSpec(3))
     for result in results:
         assert result.min_fidelity == pytest.approx(
@@ -178,13 +179,11 @@ def test_reference_ratios_values():
     )
 
 
-def test_reference_point_matches_oracle(oracle_cases):
-    assert reference_point_fidelity() == pytest.approx(
-        oracle_cases["reference_point"]["reference_value"], abs=1e-10
-    )
-    assert reference_point_fidelity(scale=2.0) == pytest.approx(
-        oracle_cases["reference_point_x2"]["reference_value"], abs=1e-10
-    )
+def test_reference_point_matches_oracle():
+    for scale in (1.0, 2.0):
+        assert reference_point_fidelity(scale=scale) == pytest.approx(
+            reference_point_ref(scale), abs=1e-10
+        )
 
 
 def test_reference_point_zero_scale_is_exact():

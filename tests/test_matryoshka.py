@@ -28,7 +28,7 @@ from bellchain import (
     verify_matryoshka,
 )
 from bellchain.oracle import dense_hamiltonian, dense_pauli
-from _helpers import unpack_complex
+from _reference import basis_vec, schedule_case_ref, t_star_unitary
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -63,6 +63,20 @@ def test_closest_bell_on_density_matrix():
     assert fidelity == pytest.approx(1.0)
 
 
+def test_closest_bell_rejects_non_finite_and_misshapen_input():
+    for bad in (np.nan, np.inf):
+        vec = bell_state(BellLabel.PSI_PLUS)
+        vec[0] = bad
+        rho = np.eye(4, dtype=complex) / 4
+        rho[1, 1] = bad
+        for pair in (vec, rho):
+            with pytest.raises(ValidationError):
+                closest_bell(pair)
+    for shape in ((2,), (4, 2), (2, 2, 4)):
+        with pytest.raises(ValidationError):
+            closest_bell(np.zeros(shape))
+
+
 def test_closest_bell_tie_prefers_enum_order():
     # |01> overlaps psi+ and psi- equally; psi+ is listed first
     vec = np.array([0, 1, 0, 0], dtype=complex)
@@ -73,11 +87,15 @@ def test_closest_bell_tie_prefers_enum_order():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 @pytest.mark.parametrize("initial", ["all0", "all1"])
-def test_schedule_matches_oracle(oracle_cases, n, initial):
-    case = oracle_cases[f"n{n}_schedule_{initial}"]["reference_value"]
+def test_schedule_matches_oracle(n, initial):
+    # labels, central value and nested fidelity read off the dense-route state
+    start_bits = {"all0": "0", "all1": "1"}[initial] * n
+    reference = schedule_case_ref(n, int(start_bits, 2))
     schedule = bell_schedule(n, initial)
-    assert [[p, q, label.value] for (p, q), label in schedule.pairs] == case["pairs"]
-    assert schedule.central_value == case["central_value"]
+    assert [(p, q, label.value) for (p, q), label in schedule.pairs] == reference["pairs"]
+    assert schedule.central_value == reference["central_value"]
+    fidelity = abs(ideal_matryoshka_state(schedule).inner(evolved(n, start_bits)))
+    assert fidelity == pytest.approx(reference["fidelity"], abs=1e-10)
 
 
 def test_schedule_structure_n7():
@@ -118,11 +136,9 @@ def test_schedule_rejects_partial_cover():
         MatryoshkaSchedule(5, 0, (((1, 5), BellLabel.PSI_PLUS),))
 
 
-def test_ideal_state_matches_evolution(oracle_cases):
+def test_ideal_state_matches_evolution():
     for n in (3, 5, 7):
-        reference = unpack_complex(
-            oracle_cases[f"n{n}_matryoshka_state"]["reference_value"]
-        )
+        reference = t_star_unitary(n) @ basis_vec(n, 0)
         ideal = ideal_matryoshka_state(bell_schedule(n))
         overlap = abs(np.vdot(ideal.amplitudes, reference))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -198,19 +214,6 @@ def test_flux_check_n3_closed_form():
     assert yy.z_sites == (2, 3)
     assert yy.sign == -1
     assert yy.residual < 1e-9
-
-
-@pytest.mark.parametrize("n", [5, 7])
-def test_flux_check_matches_oracle(oracle_cases, n):
-    reference = oracle_cases[f"n{n}_flux"]["reference_value"]
-    matches = flux_check(ChainSpec(n, 1.0), matryoshka_time())
-    assert len(matches) == len(reference)
-    for match, ref in zip(matches, reference):
-        assert match.matched
-        assert list(match.z_sites) == ref["z_sites"]
-        assert match.sign == ref["sign"]
-        assert match.residual < 1e-9
-        assert match.sign == mirror_pair_sign(n, match.pair_index)
 
 
 def test_flux_check_off_protocol_time_does_not_match():

@@ -8,41 +8,32 @@ from bellchain import (
     StateVector,
     ValidationError,
     build_hamiltonian,
+    heisenberg_evolve,
     matryoshka_time,
 )
 from bellchain.oracle import (
-    OracleReport,
     closed_form_three_site_all0,
     closed_form_three_site_unitary,
-    compare_scalars,
-    compare_states,
     dense_expm_evolve,
     dense_hamiltonian,
     dense_pauli,
     exhaustive_pauli_decompose,
-    state_discrepancy,
 )
-from _helpers import random_custom_spec, random_state, unpack_complex
+from _helpers import random_custom_spec, random_state
+from _reference import basis_vec, t_star_unitary
 
 
-def test_fixture_gate_all_cases_below_tolerance(oracle_cases):
-    # the build gate: both routes agree on every recorded case
-    assert len(oracle_cases) >= 25
-    for case_id, case in oracle_cases.items():
-        assert case["discrepancy"] < 1e-8, f"{case_id} drifted: {case['discrepancy']}"
-
-
-def test_evolved_states_still_match_frozen_reference(oracle_cases):
-    for n in (3, 5, 7):
-        for case_id, t in (
-            (f"n{n}_matryoshka_state", matryoshka_time()),
-            (f"n{n}_revival_all0", 2 * matryoshka_time()),
-        ):
-            reference = unpack_complex(oracle_cases[case_id]["reference_value"])
-            state = Propagator(build_hamiltonian(ChainSpec(n))).evolve(
-                StateVector.zero_state(n), t
-            )
-            assert np.linalg.norm(state.amplitudes - reference) < 1e-8, case_id
+def test_evolved_states_still_match_frozen_reference():
+    # against the test-side dense route: |0..0> at t* and 2t*, |111> at 2t*
+    t_star = matryoshka_time()
+    cases = [(n, 0, periods) for n in (3, 5, 7) for periods in (1, 2)] + [(3, 0b111, 2)]
+    for n, start_index, periods in cases:
+        reference = basis_vec(n, start_index)
+        for _ in range(periods):
+            reference = t_star_unitary(n) @ reference
+        start = StateVector(basis_vec(n, start_index))
+        state = Propagator(build_hamiltonian(ChainSpec(n))).evolve(start, periods * t_star)
+        assert np.linalg.norm(state.amplitudes - reference) < 1e-8, (n, start_index, periods)
 
 
 def test_dense_hamiltonian_matches_terms():
@@ -134,17 +125,23 @@ def test_exhaustive_decompose_hadamard():
 
 
 def test_exhaustive_decompose_closed_form_flux():
-    # third route for the N=3 flux identity: expm + dense traces
+    # third route for the N=3 flux identity: dense traces of the expm route
+    # and of the library's heisenberg_evolve
     from scipy.linalg import expm
 
-    h = dense_hamiltonian(build_hamiltonian(ChainSpec(3)))
-    u = expm(-1j * matryoshka_time() * h)
-    evolved = u.conj().T @ dense_pauli(PauliString.from_letters("XIX")) @ u
-    terms = exhaustive_pauli_decompose(evolved)
-    assert len(terms) == 1
-    coefficient, string = terms[0]
-    assert string.letters == "ZZI"
-    assert coefficient == pytest.approx(-1.0, abs=1e-12)
+    hamiltonian = build_hamiltonian(ChainSpec(3))
+    u = expm(-1j * matryoshka_time() * dense_hamiltonian(hamiltonian))
+    for word, expected in (("XIX", "ZZI"), ("YIY", "IZZ")):
+        pauli = PauliString.from_letters(word)
+        for evolved in (
+            u.conj().T @ dense_pauli(pauli) @ u,
+            heisenberg_evolve(hamiltonian, pauli, matryoshka_time()),
+        ):
+            terms = exhaustive_pauli_decompose(evolved)
+            assert len(terms) == 1, word
+            coefficient, string = terms[0]
+            assert string.letters == expected
+            assert coefficient == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_exhaustive_decompose_reconstructs():
@@ -158,31 +155,3 @@ def test_exhaustive_decompose_reconstructs():
 def test_exhaustive_decompose_site_cap():
     with pytest.raises(ValidationError):
         exhaustive_pauli_decompose(np.eye(1 << 6, dtype=complex))
-
-
-def test_heisenberg_terms_match_exhaustive_route(oracle_cases):
-    # stored reference decompositions were computed with dense traces
-    for case_id, letters in (("n3_heisenberg_xx", "ZZI"), ("n3_heisenberg_yy", "IZZ")):
-        reference = oracle_cases[case_id]["reference_value"]
-        assert len(reference) == 1
-        assert reference[0]["letters"] == letters
-        assert reference[0]["re"] == pytest.approx(-1.0, abs=1e-12)
-        assert reference[0]["im"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_report_comparisons():
-    a = StateVector.zero_state(3)
-    report = compare_states("same", a, a)
-    assert report.discrepancy == 0.0
-    payload = report.to_json_dict()
-    assert payload["case_id"] == "same"
-    assert payload["reference_value"][0] == [1.0, 0.0]
-    scalar = compare_scalars("scalars", 1.0, 1.0 - 5e-9)
-    assert scalar.discrepancy == pytest.approx(5e-9)
-    assert isinstance(scalar, OracleReport)
-
-
-def test_state_discrepancy_is_phase_blind():
-    state = StateVector.zero_state(5)
-    rotated = StateVector(state.amplitudes * np.exp(1.3j))
-    assert state_discrepancy(state, rotated) == pytest.approx(0.0, abs=1e-15)

@@ -131,6 +131,14 @@ def test_gate_apply_requires_unitary():
         gate_apply(state, 1, np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
 
 
+def test_gate_apply_rejects_non_finite_gate():
+    # NaN slips past the unitarity test, since NaN > tol is False
+    state = StateVector.zero_state(3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            gate_apply(state, 1, [[bad, 0.0], [0.0, 1.0]])
+
+
 def test_gate_apply_matches_dense():
     rng = np.random.default_rng(5)
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
