@@ -8,15 +8,15 @@ evolves for t*, and compares against the unperturbed result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, Pattern, _check_finite, build_hamiltonian
+from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import ValidationError
 from .evolve import Propagator, matryoshka_time
-from .pauli import DensityMatrix, StateVector, _check_density
+from .pauli import DensityMatrix, StateVector, _check_density, _check_int, _check_real
 
 # Hardware-motivated operating point for the three-site robustness
 # study: per-site field strengths over the first-bond coupling.
@@ -105,9 +105,10 @@ def field_sweep(
         raise ValidationError("field_sweep requires the matryoshka coupling pattern")
     if any(b != 0.0 for b in base.fields_b):
         raise ValidationError("base spec must carry zero fields; the sweep adds its own")
+    grid_points = _check_int("grid points", grid_points)
     if grid_points < 2:
         raise ValidationError("grid needs at least 2 points per axis")
-    ratios_b3 = tuple(float(b) for b in b3_ratios)
+    ratios_b3 = tuple(_check_real("b3 ratio", b) for b in b3_ratios)
     if not ratios_b3:
         raise ValidationError("need at least one b3 ratio")
     if any(not 0.0 <= b <= 0.1 for b in ratios_b3):
@@ -166,12 +167,12 @@ def reference_point_fidelity(
     REFERENCE_FIELD_RATIOS of the first-bond coupling and returns the
     overlap with the unperturbed evolution.
     """
-    _check_finite("field scale", scale)
+    scale = _check_real("field scale", scale)
     if scale < 0:
         raise ValidationError("field scale must be nonnegative")
-    if t_star is None:
-        t_star = matryoshka_time(lam)
-    j_edge = lam * math.sqrt(2.0)
     base = ChainSpec(3, lam)
-    perturbed = ChainSpec(3, lam, fields_b=tuple(scale * r * j_edge for r in REFERENCE_FIELD_RATIOS))
+    if t_star is None:
+        t_star = matryoshka_time(base.lam)
+    j_edge = base.lam * math.sqrt(2.0)
+    perturbed = replace(base, fields_b=tuple(scale * r * j_edge for r in REFERENCE_FIELD_RATIOS))
     return state_fidelity(_evolve_zero_state(base, t_star), _evolve_zero_state(perturbed, t_star))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliString, _check_chain_length, _mask_action
+from .pauli import PauliString, _check_chain_length, _check_int, _check_real, _mask_action
 
 
 class Pattern(enum.Enum):
@@ -30,16 +30,10 @@ class Pattern(enum.Enum):
     CUSTOM = "custom"
 
 
-def _check_finite(name: str, *values: float) -> None:
-    for value in values:
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
 def perfect_transfer_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
     """Mirror-symmetric bond strengths J_i = lam * sqrt(i (N - i))."""
-    _check_chain_length(n_sites)
-    _check_finite("coupling scale", lam)
+    n_sites = _check_chain_length(n_sites)
+    lam = _check_real("coupling scale", lam)
     if lam <= 0:
         raise ValidationError(f"coupling scale must be positive, got {lam}")
     return tuple(lam * math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
@@ -76,11 +70,11 @@ class ChainSpec:
     j_y: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_chain_length(self.n_sites)
-        _check_finite("coupling scale", self.lam)
-        n = self.n_sites
-        fields = tuple(float(b) for b in self.fields_b)
-        _check_finite("field", *fields)
+        n = _check_chain_length(self.n_sites)
+        lam = _check_real("coupling scale", self.lam)
+        object.__setattr__(self, "n_sites", n)
+        object.__setattr__(self, "lam", lam)
+        fields = tuple(_check_real("field", b) for b in self.fields_b)
         if not fields:
             fields = (0.0,) * n
         if len(fields) != n:
@@ -89,22 +83,17 @@ class ChainSpec:
         if self.pattern is Pattern.CUSTOM:
             if self.j_x is None or self.j_y is None:
                 raise ValidationError("custom pattern requires explicit j_x and j_y arrays")
-            j_x = tuple(float(j) for j in self.j_x)
-            j_y = tuple(float(j) for j in self.j_y)
+            j_x = tuple(_check_real("coupling", j) for j in self.j_x)
+            j_y = tuple(_check_real("coupling", j) for j in self.j_y)
             if len(j_x) != n - 1 or len(j_y) != n - 1:
                 raise ValidationError(f"coupling arrays must have length {n - 1}")
-            _check_finite("coupling", *j_x, *j_y)
             object.__setattr__(self, "j_x", j_x)
             object.__setattr__(self, "j_y", j_y)
         else:
             if self.j_x is not None or self.j_y is not None:
                 raise ValidationError("built-in patterns do not accept coupling arrays")
-            if self.lam <= 0:
-                raise ValidationError(f"coupling scale must be positive, got {self.lam}")
-            # the middle bond's lam * sqrt(i (N - i)), as perfect_transfer_couplings computes it
-            if not math.isfinite(self.lam * math.sqrt((n // 2) * (n - n // 2))):
-                raise ValidationError(f"coupling scale {self.lam!r} overflows the largest coupling")
-        object.__setattr__(self, "lam", float(self.lam))
+            if not math.isfinite(max(perfect_transfer_couplings(n, lam))):
+                raise ValidationError(f"coupling scale {lam!r} overflows the largest coupling")
 
     def couplings(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Resolved (J_X, J_Y) arrays for this spec."""
@@ -118,15 +107,17 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class HamiltonianTerms:
-    """Weighted Hermitian sum of Pauli strings."""
+    """Weighted Hermitian sum of Pauli strings: every weight is a finite real."""
 
     n_sites: int
     terms: tuple[tuple[float, PauliString], ...] = field(repr=False)
 
     def __post_init__(self):
-        for weight, string in self.terms:
-            if string.n_sites != self.n_sites:
-                raise ValidationError("term length does not match the chain")
+        object.__setattr__(self, "n_sites", _check_int("n_sites", self.n_sites))
+        terms = tuple((_check_real("term weight", w), string) for w, string in self.terms)
+        if any(string.n_sites != self.n_sites for _, string in terms):
+            raise ValidationError("term length does not match the chain")
+        object.__setattr__(self, "terms", terms)
 
     @functools.cached_property
     def _flip_groups(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -204,17 +195,19 @@ class HamiltonianTerms:
             return ((idx, self),)
         _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
         m = n - 1
+        reduced = []  # (weight, string on sites 2..N, quarter turns in sector 0, on site 1)
+        for weight, string in self.terms:
+            on_site_1 = string.z_mask & 1
+            x, z = string.x_mask >> 1, (string.z_mask >> 1) ^ (on_site_1 * ((1 << m) - 1))
+            # quarter turns of the factor: even for Hermitian terms
+            turns = (string.x_mask & string.z_mask).bit_count() - (x & z).bit_count()
+            reduced.append((weight, PauliString(m, x, z), turns, on_site_1))
         sectors = []
         for p, sector_idx in enumerate((idx[parity.real > 0], idx[parity.real < 0])):
-            terms = []
-            for weight, string in self.terms:
-                on_site_1 = string.z_mask & 1
-                x, z = string.x_mask >> 1, (string.z_mask >> 1) ^ (on_site_1 * ((1 << m) - 1))
-                # quarter turns of the factor: even for Hermitian terms
-                turns = (string.x_mask & string.z_mask).bit_count() - (x & z).bit_count()
-                turns += 2 * (on_site_1 & p)
-                terms.append((weight if turns % 4 == 0 else -weight, PauliString(m, x, z)))
-            sectors.append((sector_idx, HamiltonianTerms(m, tuple(terms))))
+            terms = tuple(
+                (w if (turns + 2 * (on1 & p)) % 4 == 0 else -w, s) for w, s, turns, on1 in reduced
+            )
+            sectors.append((sector_idx, HamiltonianTerms(m, terms)))
         return tuple(sectors)
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -236,11 +229,10 @@ class HamiltonianTerms:
         return mat
 
 
-def _bond_string(n_sites: int, bond: int, letter: str) -> PauliString:
-    letters = ["I"] * n_sites
-    letters[bond - 1] = letter
-    letters[bond] = letter
-    return PauliString.from_letters(letters)
+def _pair_string(n_sites: int, p: int, q: int, letter: str) -> PauliString:
+    """XX or YY (``letter`` "X" or "Y") on sites p and q."""
+    mask = 1 << (p - 1) | 1 << (q - 1)
+    return PauliString(n_sites, mask, mask if letter == "Y" else 0)
 
 
 def build_hamiltonian(spec: ChainSpec) -> HamiltonianTerms:
@@ -249,17 +241,18 @@ def build_hamiltonian(spec: ChainSpec) -> HamiltonianTerms:
     Bonds come first in ascending order with XX before YY, then the
     field terms in ascending site order.
     """
+    n = spec.n_sites
     j_x, j_y = spec.couplings()
     terms: list[tuple[float, PauliString]] = []
-    for bond in range(1, spec.n_sites):
+    for bond in range(1, n):
         if j_x[bond - 1] != 0.0:
-            terms.append((j_x[bond - 1], _bond_string(spec.n_sites, bond, "X")))
+            terms.append((j_x[bond - 1], _pair_string(n, bond, bond + 1, "X")))
         if j_y[bond - 1] != 0.0:
-            terms.append((j_y[bond - 1], _bond_string(spec.n_sites, bond, "Y")))
-    for site in range(1, spec.n_sites + 1):
+            terms.append((j_y[bond - 1], _pair_string(n, bond, bond + 1, "Y")))
+    for site in range(1, n + 1):
         if spec.fields_b[site - 1] != 0.0:
-            terms.append((spec.fields_b[site - 1], PauliString.single(spec.n_sites, site, "Z")))
-    return HamiltonianTerms(spec.n_sites, tuple(terms))
+            terms.append((spec.fields_b[site - 1], PauliString(n, 0, 1 << (site - 1))))
+    return HamiltonianTerms(n, tuple(terms))
 
 
 _CONFIG_KEYS = ("n_sites", "lambda", "pattern", "b_fields", "j_x", "j_y")

@@ -26,11 +26,11 @@ from .analysis import (
     sweep_summary,
     sweep_to_csv,
 )
-from .chain import ChainSpec, Pattern, _check_finite, build_hamiltonian, load_chain_config
+from .chain import ChainSpec, Pattern, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
-from .pauli import StateVector
+from .pauli import StateVector, _check_real
 from .protocols import conveyor_run, ghz_protocol
 
 
@@ -208,7 +208,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_finite("--min-fidelity", args.min_fidelity)
+    _check_real("--min-fidelity", args.min_fidelity)
     _, report, config = _evolve_and_verify(args)
     payload = {"config": config, "verification": report.to_json_dict()}
     echo = [

@@ -34,6 +34,5 @@ class PairNotPureError(BellchainError):
         self.threshold = float(threshold)
         super().__init__(
             f"boundary pair purity {self.purity:.12f} is below the "
-            f"extraction threshold {self.threshold:.12f}; pass force=True "
-            f"to project onto the dominant factor"
+            f"extraction threshold {self.threshold:.12f}"
         )

@@ -50,9 +50,9 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .chain import HamiltonianTerms, _check_finite
+from .chain import HamiltonianTerms
 from .errors import BellchainError, ConvergenceError, DimensionMismatchError, ValidationError
-from .pauli import PauliString, StateVector
+from .pauli import PauliString, StateVector, _check_real
 
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
@@ -65,7 +65,7 @@ _NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large fo
 
 def matryoshka_time(lam: float = 1.0) -> float:
     """Protocol time t* = pi/(4 lam) for the bare-Pauli convention."""
-    _check_finite("coupling scale", lam)
+    lam = _check_real("coupling scale", lam)
     if lam <= 0:
         raise ValidationError(f"coupling scale must be positive, got {lam}")
     t_star = math.pi / (4.0 * lam)
@@ -131,7 +131,7 @@ class Propagator:
             raise DimensionMismatchError(
                 f"state has {state.n_sites} sites, Hamiltonian {self.hamiltonian.n_sites}"
             )
-        _check_finite("time", t)
+        t = _check_real("time", t)
         amps = np.zeros(state.dim, dtype=complex)
         for idx, sector in self.hamiltonian._parity_sectors:
             part = state.amplitudes[idx]
@@ -249,7 +249,7 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
         )
     if pauli.n_sites != n:
         raise DimensionMismatchError("operator length does not match the Hamiltonian")
-    _check_finite("time", t)
+    t = _check_real("time", t)
     u = np.zeros((1 << n, 1 << n), dtype=complex)
     for idx, sector in hamiltonian._parity_sectors:
         w, v = sector._eigh

@@ -18,11 +18,11 @@ import numpy as np
 import scipy.linalg
 
 from .analysis import concurrence, purity
-from .chain import ChainSpec, build_hamiltonian
+from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
-from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, reduced_density
-from .pauli import _complex_array
+from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, _check_int
+from .pauli import _complex_array, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -97,8 +97,8 @@ class MatryoshkaSchedule:
     pairs: tuple[tuple[tuple[int, int], BellLabel], ...]
 
     def __post_init__(self):
-        n = self.n_sites
-        _check_chain_length(n)
+        n = _check_chain_length(self.n_sites)
+        object.__setattr__(self, "n_sites", n)
         if self.central_value not in (0, 1):
             raise ValidationError("central value must be 0 or 1")
         seen = {self.central_site}
@@ -129,36 +129,23 @@ class MatryoshkaSchedule:
 def bell_schedule(n_sites: int, initial: InitialState | str = InitialState.ALL0) -> MatryoshkaSchedule:
     """Predict the pair layout at t* for an all-up or all-down start.
 
-    Odd-p pairs are (2i+1, N-2i) for i up to floor((N-3)/4) and even-p
-    pairs are (2i, N-2i+1) for i up to floor((N-1)/4); the two floors
-    make the pairs partition the non-central sites for every odd N.
-    Labels depend only on the parity of the central site: odd central
-    sites pair PsiPlus on odd p with PsiMinus on even p and take
-    central value 0 from the all-down start; even central sites swap
-    the labels and take central value 1.  Starting from all-up flips
-    only the central value.
+    The pairs are (p, N-p+1) for p = 1..(N-1)/2: PsiPlus when p has
+    the parity of the central site, PsiMinus otherwise.  From the
+    all-down start the central value is 0 for an odd central site and
+    1 for an even one; starting from all-up flips it.
     """
-    _check_chain_length(n_sites)
+    n_sites = _check_chain_length(n_sites)
     try:
         initial = InitialState(initial)
     except ValueError:
         raise ValidationError(f"unknown initial state {initial!r}") from None
     central = (n_sites + 1) // 2
-    if central % 2 == 1:
-        odd_label, even_label = BellLabel.PSI_PLUS, BellLabel.PSI_MINUS
-        central_value = 0
-    else:
-        odd_label, even_label = BellLabel.PSI_MINUS, BellLabel.PSI_PLUS
-        central_value = 1
-    if initial is InitialState.ALL1:
-        central_value = 1 - central_value
-    pairs = []
-    for i in range((n_sites - 3) // 4 + 1):
-        pairs.append(((2 * i + 1, n_sites - 2 * i), odd_label))
-    for i in range(1, (n_sites - 1) // 4 + 1):
-        pairs.append(((2 * i, n_sites - 2 * i + 1), even_label))
-    pairs.sort(key=lambda entry: entry[0][0])
-    return MatryoshkaSchedule(n_sites, central_value, tuple(pairs))
+    central_value = (central + 1) % 2 ^ (initial is InitialState.ALL1)
+    pairs = tuple(
+        ((p, n_sites - p + 1), BellLabel.PSI_PLUS if p % 2 == central % 2 else BellLabel.PSI_MINUS)
+        for p in range(1, (n_sites - 1) // 2 + 1)
+    )
+    return MatryoshkaSchedule(n_sites, central_value, pairs)
 
 
 def bell_product_amplitudes(
@@ -264,7 +251,8 @@ def verify_matryoshka(state: StateVector, schedule: MatryoshkaSchedule) -> Verif
 
 def mirror_pair_sign(n_sites: int, pair_index: int) -> int:
     """Predicted sign (-1)^((N - 2i + 1)/2) of the matched Z-string."""
-    _check_chain_length(n_sites)
+    n_sites = _check_chain_length(n_sites)
+    pair_index = _check_int("pair index", pair_index)
     if not 1 <= pair_index <= (n_sites - 1) // 2:
         raise ValidationError(f"pair index {pair_index} outside 1..{(n_sites - 1) // 2}")
     return (-1) ** ((n_sites - 2 * pair_index + 1) // 2)
@@ -326,11 +314,8 @@ def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
     evolved = {}
     for i in range(1, (n_sites - 1) // 2 + 1):
         for letter in ("X", "Y"):
-            letters = ["I"] * n_sites
-            letters[i - 1] = letters[n_sites - i] = letter
-            evolved[i, letter * 2] = heisenberg_evolve(
-                hamiltonian, PauliString.from_letters(letters), t
-            )
+            pair = _pair_string(n_sites, i, n_sites - i + 1, letter)
+            evolved[i, letter * 2] = heisenberg_evolve(hamiltonian, pair, t)
     # built only after heisenberg_evolve has checked the size: it has 4^N
     # entries, and row z is the diagonal of the Z-string with mask z
     walsh = scipy.linalg.hadamard(1 << n_sites)

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -61,15 +63,8 @@ class PauliString:
     z_mask: int
 
     def __post_init__(self):
-        # plain ints skip the conversion: sweeps build thousands of strings
-        if not (type(self.n_sites) is type(self.x_mask) is type(self.z_mask) is int):
-            for name in ("n_sites", "x_mask", "z_mask"):
-                try:
-                    object.__setattr__(self, name, operator.index(getattr(self, name)))
-                except TypeError:
-                    raise ValidationError(
-                        f"{name} must be an integer, got {getattr(self, name)!r}"
-                    ) from None
+        for name in ("n_sites", "x_mask", "z_mask"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.n_sites < 1:
             raise ValidationError("PauliString needs at least one site")
         top = 1 << self.n_sites
@@ -125,7 +120,7 @@ class StateVector:
 
     def __init__(self, amplitudes: Iterable[complex], *, normalize: bool = False):
         amps = _complex_array(amplitudes, "amplitudes").ravel()
-        n = int(amps.size).bit_length() - 1
+        n = max(amps.size.bit_length(), 1) - 1
         if amps.size != (1 << n):
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
         _check_chain_length(n)
@@ -154,9 +149,10 @@ class StateVector:
     @classmethod
     def zero_state(cls, n_sites: int) -> "StateVector":
         """|00..0> on an N-site chain."""
+        n_sites = _check_chain_length(n_sites)
         amps = np.zeros(1 << n_sites, dtype=complex)
         amps[0] = 1.0
-        return cls(amps)
+        return cls._trusted(n_sites, amps)
 
     @classmethod
     def from_bits(cls, bits: str) -> "StateVector":
@@ -217,20 +213,47 @@ def _complex_array(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be numbers") from None
 
 
-def _check_chain_length(n_sites: int) -> None:
+def _check_int(name: str, value) -> int:
+    """``value`` as a plain int; it must be an integer (numpy integers included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; it must be a finite real number (numpy scalars included)."""
+    try:  # float first: it matches at once, where the numbers.Real check is slow
+        if isinstance(value, (float, numbers.Real)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValidationError(f"{name} must be finite and real, got {value!r}")
+
+
+def _check_chain_length(n_sites: int) -> int:
+    n_sites = _check_int("chain length", n_sites)
     if n_sites < 3 or n_sites % 2 == 0:
         raise ValidationError(f"chain length must be odd and >= 3, got {n_sites}")
+    return n_sites
 
 
-def _check_site(site: int, n_sites: int) -> int:
+def _check_site(site: int, n_sites: float) -> int:
     """The site as a plain int, checked to be an integer in 1..n_sites."""
-    try:
-        site = operator.index(site)
-    except TypeError:
-        raise ValidationError(f"site must be an integer, got {site!r}") from None
+    site = _check_int("site", site)
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} outside chain 1..{n_sites}")
     return site
+
+
+def _check_sites(sites: Sequence[int], n_sites: float = math.inf) -> tuple[int, ...]:
+    """1 or 2 distinct sites, each an integer in 1..n_sites, as a tuple of ints."""
+    sites = tuple(_check_site(s, n_sites) for s in sites)
+    if len(sites) not in (1, 2):
+        raise ValidationError(f"a reduced density has 1 or 2 sites, got {len(sites)}")
+    if len(set(sites)) != len(sites):
+        raise ValidationError(f"duplicate sites in {sites}")
+    return sites
 
 
 def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
@@ -262,6 +285,7 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sites", _check_sites(self.sites))
         mat = _complex_array(self.matrix, "density matrix")
         dim = 1 << len(self.sites)
         if mat.shape != (dim, dim):
@@ -308,11 +332,7 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
 
 def reduced_density(state: StateVector, sites: Sequence[int]) -> DensityMatrix:
     """Partial trace down to 1 or 2 sites of a pure chain state."""
-    sites = tuple(_check_site(s, state.n_sites) for s in sites)
-    if len(sites) not in (1, 2):
-        raise ValidationError("reduced_density supports 1 or 2 sites")
-    if len(set(sites)) != len(sites):
-        raise ValidationError(f"duplicate sites in {sites}")
+    sites = _check_sites(sites, state.n_sites)
     return DensityMatrix._trusted(sites, _partial_trace(state.amplitudes, state.n_sites, sites))
 
 

@@ -13,7 +13,8 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, DensityMatrix, StateVector, _partial_trace, gate_apply, reduced_density
+from .pauli import _TIE_TOL, DensityMatrix, StateVector, _check_int, _partial_trace, gate_apply
+from .pauli import reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6
@@ -147,6 +148,7 @@ def conveyor_run(
     """
     if spec.pattern is not Pattern.MATRYOSHKA_ALTERNATING:
         raise ValidationError("the conveyor requires the matryoshka coupling pattern")
+    rounds = _check_int("rounds", rounds)
     if rounds < 0:
         raise ValidationError("rounds must be nonnegative")
     if t_star is None:

@@ -162,6 +162,8 @@ def test_conveyor_impure_pair_exits_three(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "purity" in captured.err
+    # conveyor_run has no force parameter, so the error must not suggest one
+    assert "force" not in captured.err
 
 
 def test_conveyor_json(capsys):

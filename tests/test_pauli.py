@@ -2,17 +2,28 @@ import numpy as np
 import pytest
 
 from bellchain import (
+    ChainSpec,
     DensityMatrix,
+    HamiltonianTerms,
+    Pattern,
     PauliString,
+    Propagator,
     StateVector,
     ValidationError,
     bell_schedule,
     bit_label,
+    build_hamiltonian,
     closest_bell,
+    conveyor_run,
     extract_pair,
+    field_sweep,
     gate_apply,
+    heisenberg_evolve,
+    matryoshka_time,
+    mirror_pair_sign,
     purity,
     reduced_density,
+    reference_point_fidelity,
     verify_matryoshka,
 )
 
@@ -85,6 +96,8 @@ def test_state_rejects_even_or_tiny_chains():
         StateVector(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(ValidationError):
         StateVector.zero_state(1)
+    with pytest.raises(ValidationError, match="power of two"):
+        StateVector([])
 
 
 def test_state_requires_normalization():
@@ -205,6 +218,72 @@ def test_sites_must_be_integers(call):
         assert np.all(run(good) == expected)
 
 
+# every integer parameter: a call taking the value, and a valid value for it
+_INT_CALLS = {
+    **{name: (run, 2) for name, run in _SITE_CALLS.items()},
+    "PauliString n_sites": (lambda n: PauliString(n, 1, 0), 3),
+    "PauliString x_mask": (lambda m: PauliString(3, m, 0), 2),
+    "PauliString z_mask": (lambda m: PauliString(3, 0, m), 2),
+    "ChainSpec n_sites": (lambda n: ChainSpec(n), 3),
+    "StateVector.zero_state n_sites": (lambda n: StateVector.zero_state(n).amplitudes, 3),
+    "HamiltonianTerms n_sites": (lambda n: HamiltonianTerms(n, ()).dense(), 3),
+    "bell_schedule n_sites": (lambda n: bell_schedule(n), 3),
+    "conveyor_run rounds": (
+        lambda r: [rec.to_json_dict() for rec in conveyor_run(ChainSpec(3), r)],
+        1,
+    ),
+    "field_sweep grid_points": (lambda g: field_sweep(ChainSpec(3), g, (0.05,)), 2),
+    "mirror_pair_sign pair_index": (lambda i: mirror_pair_sign(5, i), 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_INT_CALLS))
+def test_integer_parameters_are_checked(call):
+    run, good = _INT_CALLS[call]
+    for bad in (1.5, 2.0, "3", None):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            run(bad)
+    # a numpy integer gives the very result of the equal Python int
+    assert repr(run(np.int64(good))) == repr(run(good))
+
+
+def _evolve(weight=1.0, t=1.0, method="eigen"):
+    h = HamiltonianTerms(3, ((weight, PauliString(3, 3, 0)), (0.5, PauliString(3, 0, 4))))
+    return Propagator(h, method).evolve(StateVector.from_bits("100"), t).amplitudes
+
+
+# every real parameter: a call taking the value, and a valid value for it
+_REAL_CALLS = {
+    "ChainSpec lam": (lambda lam: ChainSpec(3, lam), 1.5),
+    "ChainSpec field": (lambda b: ChainSpec(3, fields_b=(0.0, b, 0.0)), 0.25),
+    "ChainSpec custom coupling": (
+        lambda j: ChainSpec(3, pattern=Pattern.CUSTOM, j_x=(j, 0.0), j_y=(0.0, 1.0)),
+        0.5,
+    ),
+    "Propagator.evolve eigen time": (lambda t: _evolve(t=t), 0.7),
+    "Propagator.evolve krylov time": (lambda t: _evolve(t=t, method="krylov"), 0.7),
+    "heisenberg_evolve time": (
+        lambda t: heisenberg_evolve(build_hamiltonian(ChainSpec(3)), PauliString(3, 1, 0), t),
+        0.7,
+    ),
+    "matryoshka_time lam": (matryoshka_time, 2.0),
+    "reference_point_fidelity scale": (reference_point_fidelity, 1.5),
+    "field_sweep b3 ratio": (lambda b: field_sweep(ChainSpec(3), 2, (b,)), 0.05),
+    "HamiltonianTerms weight eigen": (lambda w: _evolve(weight=w), 0.5),
+    "HamiltonianTerms weight krylov": (lambda w: _evolve(weight=w, method="krylov"), 0.5),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_REAL_CALLS))
+def test_real_parameters_are_checked(call):
+    run, good = _REAL_CALLS[call]
+    for bad in ("1", "a", 1j, None, float("nan")):
+        with pytest.raises(ValidationError, match="must be finite"):
+            run(bad)
+    # a numpy float gives the very result of the equal Python float
+    assert repr(run(np.float64(good))) == repr(run(good))
+
+
 def test_reduced_density_accepts_every_valid_state():
     # the state contract allows a norm error up to 1e-10, so the trace may be 1 + 8e-11
     amps = np.zeros(8, dtype=complex)
@@ -255,6 +334,14 @@ def test_density_matrix_validates():
     assert good.sites == (1,)
     with pytest.raises(ValidationError):
         DensityMatrix((1,), np.array([[0.9, 0.0], [0.0, 0.2]], dtype=complex))
+    # 1 or 2 distinct integer sites, each >= 1, as reduced_density requires
+    for sites, match in (((1, 1), "duplicate"), ((0,), "outside"), ((), "1 or 2 sites")):
+        dim = 1 << len(sites)
+        with pytest.raises(ValidationError, match=match):
+            DensityMatrix(sites, np.eye(dim, dtype=complex) / dim)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        DensityMatrix((1.5,), np.eye(2, dtype=complex) / 2)
+    assert repr(DensityMatrix((np.int64(3), 1), np.eye(4) / 4).sites) == "(3, 1)"
 
 
 def test_density_matrix_leaves_the_callers_array_writable():
