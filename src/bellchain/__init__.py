@@ -5,6 +5,8 @@ turns a single product state into concentric Bell pairs after a quarter
 period.  This package provides the sparse Pauli machinery, exact
 propagators, the pairing schedule, extraction and GHZ protocols, field
 robustness sweeps, and an independent dense oracle for cross-checking.
+The package runs on numpy alone; only ``bellchain.oracle``, which the
+package itself never imports, needs scipy.
 """
 
 from .analysis import (

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliString, _check_chain_length, _check_int, _check_real, _mask_action
+from .pauli import PauliString, _check_chain_length, _check_int, _check_real, _check_reals
+from .pauli import _mask_action
 
 
 class Pattern(enum.Enum):
@@ -74,7 +75,7 @@ class ChainSpec:
         lam = _check_real("coupling scale", self.lam)
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "lam", lam)
-        fields = tuple(_check_real("field", b) for b in self.fields_b)
+        fields = _check_reals("field", self.fields_b)
         if not fields:
             fields = (0.0,) * n
         if len(fields) != n:
@@ -83,8 +84,8 @@ class ChainSpec:
         if self.pattern is Pattern.CUSTOM:
             if self.j_x is None or self.j_y is None:
                 raise ValidationError("custom pattern requires explicit j_x and j_y arrays")
-            j_x = tuple(_check_real("coupling", j) for j in self.j_x)
-            j_y = tuple(_check_real("coupling", j) for j in self.j_y)
+            j_x = _check_reals("coupling", self.j_x)
+            j_y = _check_reals("coupling", self.j_y)
             if len(j_x) != n - 1 or len(j_y) != n - 1:
                 raise ValidationError(f"coupling arrays must have length {n - 1}")
             object.__setattr__(self, "j_x", j_x)

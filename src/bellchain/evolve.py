@@ -25,7 +25,9 @@ to at most the tolerance.  When the full basis cannot carry the step,
 the step is halved on that same basis until it can; the method then
 continues from the time reached, trying the whole remaining time again.
 Its inner products are summed by numpy, in one thread, so its results
-do not depend on the BLAS thread count.
+do not depend on the BLAS thread count.  Each step's projected problem,
+the tridiagonal Lanczos matrix T of at most 40 x 40, is diagonalised
+as a dense matrix by numpy (``_tridiagonal_eigh``).
 
 Timing convention: with the Hamiltonian written in bare Pauli
 operators (no factor 1/2) and the built-in coupling profile
@@ -48,7 +50,6 @@ import os
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .chain import HamiltonianTerms
 from .errors import BellchainError, ConvergenceError, DimensionMismatchError, ValidationError
@@ -200,7 +201,7 @@ def _lanczos_step(
         beta = math.sqrt(_real_dot(w, w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise BellchainError(_NOT_FINITE)
-        w_small, q_small = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
+        w_small, q_small = _tridiagonal_eigh(alphas, betas)
         coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
         if beta < 1e-14 * max(1.0, abs(alpha)):
             break  # happy breakdown: the basis spans an invariant subspace
@@ -221,6 +222,17 @@ def _lanczos_step(
             coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
     m = len(alphas)
     return norm0 * (coefficients @ basis[:m]), dt
+
+
+def _tridiagonal_eigh(alphas: list[float], betas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Lanczos matrix T.
+
+    T is symmetric tridiagonal, ``alphas`` on the diagonal and ``betas``
+    (one shorter, empty for m = 1) beside it.  At most
+    ``_KRYLOV_MAX_SUBSPACE`` wide, it is solved as a dense matrix by
+    numpy's ``eigh``, which keeps the runtime free of scipy.
+    """
+    return np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1) + np.diag(betas, 1))
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:

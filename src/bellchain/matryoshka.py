@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import concurrence, purity
 from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
 from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, _check_int
-from .pauli import _complex_array, reduced_density
+from .pauli import _check_site, _complex_array, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -99,10 +98,17 @@ class MatryoshkaSchedule:
     def __post_init__(self):
         n = _check_chain_length(self.n_sites)
         object.__setattr__(self, "n_sites", n)
-        if self.central_value not in (0, 1):
+        central_value = _check_int("central value", self.central_value)
+        if central_value not in (0, 1):
             raise ValidationError("central value must be 0 or 1")
+        object.__setattr__(self, "central_value", central_value)
+        pairs = tuple(
+            ((_check_int("pair site", p), _check_int("pair site", q)), label)
+            for (p, q), label in self.pairs
+        )
+        object.__setattr__(self, "pairs", pairs)
         seen = {self.central_site}
-        for (p, q), _ in self.pairs:
+        for (p, q), _ in pairs:
             if q != n - p + 1:
                 raise ValidationError(f"pair ({p}, {q}) is not mirror-symmetric")
             if p in seen or q in seen:
@@ -155,9 +161,15 @@ def bell_product_amplitudes(
     central_value: int,
 ) -> np.ndarray:
     """Amplitudes of a product of Bell pairs and one central basis spin."""
+    n_sites = _check_int("n_sites", n_sites)
+    central_site = _check_site(central_site, n_sites)  # so n_sites >= 1
+    central_value = _check_int("central value", central_value)
+    if central_value not in (0, 1):
+        raise ValidationError("central value must be 0 or 1")
     idx = np.arange(1 << n_sites, dtype=np.int64)
     amps = np.ones(idx.size, dtype=complex)
     for p, q, label in labeled_pairs:
+        p, q = _check_site(p, n_sites), _check_site(q, n_sites)
         bp = (idx >> (p - 1)) & 1
         bq = (idx >> (q - 1)) & 1
         amps *= _BELL_TABLE[label][(bp << 1) | bq]
@@ -291,6 +303,18 @@ def _mask_sites(mask: int) -> tuple[int, ...]:
     return tuple(p + 1 for p in range(mask.bit_length()) if (mask >> p) & 1)
 
 
+def _walsh(n: int) -> np.ndarray:
+    """The 2^n x 2^n Sylvester-ordered Walsh-Hadamard matrix of int64 +-1.
+
+    Row z, column j holds (-1)**popcount(z & j), the rows in the order
+    (and the dtype) of ``scipy.linalg.hadamard(2**n)``.
+    """
+    walsh = np.ones((1, 1), dtype=np.int64)
+    for _ in range(n):
+        walsh = np.block([[walsh, walsh], [walsh, -walsh]])
+    return walsh
+
+
 def _hermitian_norm(matrix: np.ndarray) -> float:
     """Operator 2-norm of a Hermitian matrix: its largest |eigenvalue|."""
     return float(np.abs(np.linalg.eigvalsh(matrix)).max())
@@ -318,7 +342,7 @@ def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
             evolved[i, letter * 2] = heisenberg_evolve(hamiltonian, pair, t)
     # built only after heisenberg_evolve has checked the size: it has 4^N
     # entries, and row z is the diagonal of the Z-string with mask z
-    walsh = scipy.linalg.hadamard(1 << n_sites)
+    walsh = _walsh(n_sites)
     out = []
     for (i, kind), matrix in evolved.items():
         spectrum = walsh @ matrix.diagonal().real / walsh.shape[0]

@@ -213,12 +213,21 @@ def _complex_array(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be numbers") from None
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to 60 characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's 4300-digit limit for str()
+        return f"an int of {value.bit_length()} bits"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _check_int(name: str, value) -> int:
     """``value`` as a plain int; it must be an integer (numpy integers included)."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 def _check_real(name: str, value) -> float:
@@ -228,7 +237,16 @@ def _check_real(name: str, value) -> float:
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
-    raise ValidationError(f"{name} must be finite and real, got {value!r}")
+    raise ValidationError(f"{name} must be finite and real, got {_shown(value)}")
+
+
+def _check_reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each checked by :func:`_check_real`."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of reals, got {_shown(values)}") from None
+    return tuple(_check_real(name, v) for v in values)
 
 
 def _check_chain_length(n_sites: int) -> int:

@@ -408,3 +408,46 @@ def test_console_script_help():
     assert result.returncode == 0
     assert "sweep" in result.stdout
     assert "reference-point" in result.stdout
+
+
+def test_runtime_imports_no_scipy():
+    script = (
+        "import sys, bellchain, bellchain.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# with scipy blocked, any import of scipy or scipy.*, lazy ones inside functions
+# included, raises ImportError
+_NUMPY_ONLY_RUN = """
+import sys
+sys.modules["scipy"] = None
+from bellchain.cli import main
+
+out = sys.argv[1]
+for argv in (
+    ["generate", "--n", "5", "--b=0.01,-0.02,0.03,0.004,-0.005", "--out", out + "/generate.json"],
+    ["verify", "--n", "7", "--out", out + "/verify7.json"],
+    ["verify", "--n", "13", "--out", out + "/verify13.json"],
+    ["flux-check", "--n", "5", "--out", out + "/flux.json"],
+    ["conveyor", "--n", "7", "--out", out + "/conveyor.json"],
+    ["ghz", "--n", "5", "--out", out + "/ghz.json"],
+    ["sweep", "--n", "3", "--grid", "5", "--out-dir", out],
+    ["reference-point", "--out", out + "/reference.json"],
+):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    # verify --n 13 runs on the Krylov route, the only one that diagonalises T
+    assert json.loads((tmp_path / "verify13.json").read_text())["config"]["n_sites"] == 13

@@ -211,6 +211,23 @@ def test_krylov_shrinks_the_step_when_the_full_basis_fails(monkeypatch):
     assert calls[0] > 2 * 10 * 8
 
 
+def test_tridiagonal_solve_matches_scipy():
+    # the Lanczos step's dense eigh of T against scipy's tridiagonal solver
+    rng = np.random.default_rng(16)
+    for m in range(1, bellchain.evolve._KRYLOV_MAX_SUBSPACE + 1):
+        alphas = list(rng.normal(size=m))
+        betas = list(rng.uniform(0.05, 2.0, size=m - 1))  # empty for m = 1
+        dt = rng.uniform(-3.0, 3.0)
+        w, q = bellchain.evolve._tridiagonal_eigh(alphas, betas)
+        w_ref, q_ref = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
+        np.testing.assert_allclose(
+            q @ (np.exp(-1j * w * dt) * q[0]),
+            q_ref @ (np.exp(-1j * w_ref * dt) * q_ref[0]),
+            rtol=0,
+            atol=1e-13,
+        )
+
+
 def test_krylov_tolerance_bounds_the_whole_evolution(monkeypatch):
     # eight vectors need many short steps, whose error estimates must sum to 1e-10
     rng = np.random.default_rng(14)

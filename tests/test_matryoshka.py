@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import bellchain.matryoshka
 from bellchain import (
     BellLabel,
     ChainSpec,
@@ -153,6 +154,18 @@ def test_bell_product_amplitudes_n3():
     np.testing.assert_allclose(amps, expected, atol=1e-15)
 
 
+def test_bell_product_amplitudes_validates():
+    pair = [(1, 3, BellLabel.PSI_MINUS)]
+    for args in (
+        (0, [], 1, 0),  # no sites
+        (3, pair, 4, 1),  # central site outside the chain
+        (3, [(1, 4, BellLabel.PSI_MINUS)], 2, 1),  # pair site outside the chain
+        (3, pair, 2, 2),  # central value not a bit
+    ):
+        with pytest.raises(ValidationError):
+            bell_product_amplitudes(*args)
+
+
 def test_verify_matryoshka_on_ideal_state():
     for n in (3, 5, 7, 9):
         schedule = bell_schedule(n)
@@ -225,11 +238,18 @@ def test_flux_check_site_cap(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("an operator-sized array was built")
 
-    monkeypatch.setattr(scipy.linalg, "hadamard", unreachable)
+    monkeypatch.setattr(bellchain.matryoshka, "_walsh", unreachable)
     monkeypatch.setattr(HamiltonianTerms, "dense", unreachable)
     for n in (9, 31):
         with pytest.raises(ValidationError):
             flux_check(ChainSpec(n, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walsh_matrix_matches_scipy(n):
+    walsh, expected = bellchain.matryoshka._walsh(n), scipy.linalg.hadamard(2**n)
+    assert walsh.dtype == expected.dtype
+    np.testing.assert_array_equal(walsh, expected)
 
 
 def test_one_hamiltonian_is_diagonalised_once(monkeypatch):

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from bellchain import (
+    BellLabel,
     ChainSpec,
     DensityMatrix,
     HamiltonianTerms,
+    MatryoshkaSchedule,
     Pattern,
     PauliString,
     Propagator,
     StateVector,
     ValidationError,
+    bell_product_amplitudes,
     bell_schedule,
     bit_label,
     build_hamiltonian,
@@ -218,6 +221,10 @@ def test_sites_must_be_integers(call):
         assert np.all(run(good) == expected)
 
 
+def _schedule(central_value=1, p=1):
+    return MatryoshkaSchedule(3, central_value, (((p, 3), BellLabel.PSI_PLUS),)).to_json_dict()
+
+
 # every integer parameter: a call taking the value, and a valid value for it
 _INT_CALLS = {
     **{name: (run, 2) for name, run in _SITE_CALLS.items()},
@@ -234,6 +241,19 @@ _INT_CALLS = {
     ),
     "field_sweep grid_points": (lambda g: field_sweep(ChainSpec(3), g, (0.05,)), 2),
     "mirror_pair_sign pair_index": (lambda i: mirror_pair_sign(5, i), 1),
+    "MatryoshkaSchedule pair site": (lambda p: _schedule(p=p), 1),
+    "bell_product_amplitudes central_site": (
+        lambda c: bell_product_amplitudes(3, [], c, 0).tolist(),
+        2,
+    ),
+    "bell_product_amplitudes central_value": (
+        lambda v: bell_product_amplitudes(3, [], 2, v).tolist(),
+        1,
+    ),
+    "bell_product_amplitudes pair site": (
+        lambda p: bell_product_amplitudes(3, [(p, 3, BellLabel.PSI_PLUS)], 2, 0).tolist(),
+        1,
+    ),
 }
 
 
@@ -282,6 +302,29 @@ def test_real_parameters_are_checked(call):
             run(bad)
     # a numpy float gives the very result of the equal Python float
     assert repr(run(np.float64(good))) == repr(run(good))
+
+
+# inputs that once escaped the checks: a call, the value it once let through
+# with a raw TypeError, ValueError or a float kept, and a valid value for it
+_UNCHECKED_CALLS = {
+    "ChainSpec fields_b": (lambda b: ChainSpec(3, fields_b=b), 1.0, (0.0, 0.5, 0.0)),
+    "bell_product_amplitudes n_sites": (
+        lambda n: bell_product_amplitudes(n, [], 2, 0).tolist(),
+        3.0,
+        3,
+    ),
+    "ChainSpec lam past the int print limit": (lambda lam: ChainSpec(3, lam), 10**5000, 2),
+    "MatryoshkaSchedule central_value": (_schedule, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_UNCHECKED_CALLS))
+def test_unchecked_inputs_raise_validation_error_or_give_plain_numbers(call):
+    run, bad, good = _UNCHECKED_CALLS[call]
+    with pytest.raises(ValidationError):
+        run(bad)
+    # numpy values give the very result of the equal plain numbers
+    assert repr(run(np.array(good)[()])) == repr(run(good))
 
 
 def test_reduced_density_accepts_every_valid_state():
