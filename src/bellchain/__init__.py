@@ -3,10 +3,11 @@
 An alternating pattern of YY and XX bonds at perfect-transfer strengths
 turns a single product state into concentric Bell pairs after a quarter
 period.  This package provides the sparse Pauli machinery, exact
-propagators, the pairing schedule, extraction and GHZ protocols, field
-robustness sweeps, and an independent dense oracle for cross-checking.
-The package runs on numpy alone; only ``bellchain.oracle``, which the
-package itself never imports, needs scipy.
+propagators, the pairing schedule, extraction and GHZ protocols, and
+field robustness sweeps.  The package runs on numpy alone; only
+``bellchain.oracle``, a dense ``expm`` evolution that serves the
+benchmark's output checks (``bench/checks.py``) and that the package
+itself never imports, needs scipy.
 """
 
 from .analysis import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pauli import PauliString, _check_chain_length, _check_int, _check_real, _check_reals
-from .pauli import _mask_action
+from .pauli import _mask_action, _parse_reals
 
 
 class Pattern(enum.Enum):
@@ -299,10 +299,11 @@ def load_chain_config(path: str) -> ChainSpec:
     try:
         n_sites = int(raw["n_sites"])
         lam = float(raw.get("lambda", "1.0"))
-        fields = _parse_float_list(raw.get("b_fields", ""))
-        j_x = _parse_float_list(raw["j_x"]) if "j_x" in raw else None
-        j_y = _parse_float_list(raw["j_y"]) if "j_y" in raw else None
-    except ValueError as exc:
+        # an empty b_fields means no fields
+        fields = _parse_reals("b_fields", raw["b_fields"]) if raw.get("b_fields") else ()
+        j_x = _parse_reals("j_x", raw["j_x"]) if "j_x" in raw else None
+        j_y = _parse_reals("j_y", raw["j_y"]) if "j_y" in raw else None
+    except (ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     pattern_value = raw.get("pattern", Pattern.MATRYOSHKA_ALTERNATING.value)
     try:
@@ -311,10 +312,3 @@ def load_chain_config(path: str) -> ChainSpec:
         choices = ", ".join(p.value for p in Pattern)
         raise ValidationError(f"{path}: pattern must be one of {choices}") from None
     return ChainSpec(n_sites, lam, pattern, fields, j_x=j_x, j_y=j_y)
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(piece) for piece in text.split(","))

@@ -30,7 +30,7 @@ from .chain import ChainSpec, Pattern, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
-from .pauli import StateVector, _check_real
+from .pauli import StateVector, _check_real, _parse_reals
 from .protocols import conveyor_run, ghz_protocol
 
 
@@ -117,17 +117,10 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
     n = args.n if args.n is not None else base.n_sites
     lam = args.lam if args.lam is not None else base.lam
     pattern = Pattern(args.pattern) if args.pattern else base.pattern
-    fields = _parse_fields(args.b) if args.b else base.fields_b
+    fields = _parse_reals("field", args.b) if args.b else base.fields_b
     j_x = base.j_x if pattern is Pattern.CUSTOM else None
     j_y = base.j_y if pattern is Pattern.CUSTOM else None
     return ChainSpec(n, lam, pattern, fields, j_x=j_x, j_y=j_y)
-
-
-def _parse_fields(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(piece) for piece in text.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse field list {text!r}") from None
 
 
 def _spec_config_dict(spec: ChainSpec, t_star: float, extra: dict | None = None) -> dict:
@@ -277,10 +270,7 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     t_star = _t_star(args, spec)
-    try:
-        ratios = tuple(float(piece) for piece in args.b3.split(","))
-    except ValueError:
-        raise ValidationError(f"cannot parse b3 ratio list {args.b3!r}") from None
+    ratios = _parse_reals("b3 ratio", args.b3)
     names = [f"b3_{ratio:g}" for ratio in ratios]
     if len(set(names)) < len(names) or len(set(ratios)) < len(ratios):
         raise ValidationError(f"b3 ratio list {args.b3!r} repeats a slice: {names}")

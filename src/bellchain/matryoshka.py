@@ -21,7 +21,7 @@ from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
 from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, _check_int
-from .pauli import _check_site, _complex_array, reduced_density
+from .pauli import _check_site, _complex_array, _mask_action, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -306,13 +306,15 @@ def _mask_sites(mask: int) -> tuple[int, ...]:
 def _walsh(n: int) -> np.ndarray:
     """The 2^n x 2^n Sylvester-ordered Walsh-Hadamard matrix of int64 +-1.
 
-    Row z, column j holds (-1)**popcount(z & j), the rows in the order
-    (and the dtype) of ``scipy.linalg.hadamard(2**n)``.
+    Row z, column j holds (-1)**popcount(z & j), the sign the Pauli
+    kernel gives the all-Z string at index z & j; the rows come in the
+    order (and the dtype) of ``scipy.linalg.hadamard(2**n)``.  The dtype
+    stays int64: with a float64 matrix, ``walsh @ diagonal`` goes through
+    BLAS and rounds the spectrum differently in its last bits.
     """
-    walsh = np.ones((1, 1), dtype=np.int64)
-    for _ in range(n):
-        walsh = np.block([[walsh, walsh], [walsh, -walsh]])
-    return walsh
+    idx = np.arange(1 << n, dtype=np.int64)
+    _, signs = _mask_action(PauliString(n, 0, (1 << n) - 1), idx[:, None] & idx)
+    return signs.real.astype(np.int64)
 
 
 def _hermitian_norm(matrix: np.ndarray) -> float:

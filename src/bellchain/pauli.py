@@ -249,6 +249,14 @@ def _check_reals(name: str, values) -> tuple[float, ...]:
     return tuple(_check_real(name, v) for v in values)
 
 
+def _parse_reals(name: str, text: str) -> tuple[float, ...]:
+    """The floats of a comma-separated list such as ``"0,0.05,0.1"``."""
+    try:
+        return tuple(float(piece) for piece in text.split(","))
+    except ValueError:
+        raise ValidationError(f"cannot parse {name} list {text!r}") from None
+
+
 def _check_chain_length(n_sites: int) -> int:
     n_sites = _check_int("chain length", n_sites)
     if n_sites < 3 or n_sites % 2 == 0:

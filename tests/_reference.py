@@ -1,16 +1,20 @@
 """Dense reference routes that the tests compare the library against.
 
-Everything in this module is plain dense linear algebra: operators are
-placed by Kronecker products, evolution goes through scipy's Pade
-``expm``, reduced states come from explicit reshapes, and expectations
-from literal traces.  It shares no code with the package and imports
-nothing from it, so a common-mode bug in the library's bitmask,
-eigen or Krylov routes cannot hide here.  Tests call these routes live.
+Everything in this module is plain dense linear algebra: each Pauli
+string is one Kronecker product of its letters, evolution goes through
+scipy's Pade ``expm``, reduced states come from explicit reshapes, and
+expectations from literal traces.  Hamiltonians are built from plain
+numbers: a built-in pattern's coupling formula, a spec's ``j_x``,
+``j_y`` and ``fields_b``, or (weight, letters) pairs.  The module shares
+no code with the package and imports nothing from it, so a common-mode
+bug in the library's couplings, Hamiltonian assembly, bitmask, eigen or
+Krylov routes cannot hide here.  Tests call these routes live.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +22,8 @@ from scipy.linalg import expm
 
 T_STAR = math.pi / 4.0
 
-_I2 = np.eye(2, dtype=complex)
 _GATES = {
+    "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -40,47 +44,120 @@ _ANCHOR_TIE = 1e-9
 REFERENCE_RATIOS = (7.8 / 270.0, 19.6 / 270.0, 12.6 / 270.0)
 
 
-@functools.cache
-def op_at(n: int, site: int, gate: str) -> np.ndarray:
-    """Single-site X, Y, Z or Hadamard embedded in the full space, site 1 = LSB."""
-    out = np.eye(1, dtype=complex)
-    for s in range(n, 0, -1):
-        out = np.kron(out, _GATES[gate] if s == site else _I2)
-    out.setflags(write=False)
-    return out
+def letters_dense(letters: str) -> np.ndarray:
+    """The operator with letter s on site s, one Kronecker product (site 1 = LSB).
+
+    Letters are I, X, Y, Z or H (the Hadamard gate), site 1 first.
+    """
+    factors = [_GATES[letter] for letter in reversed(letters)]
+    return functools.reduce(np.kron, factors, np.ones((1, 1), dtype=complex))
 
 
-def letters_dense(n: int, letters: dict[int, str]) -> np.ndarray:
-    out = np.eye(1 << n, dtype=complex)
-    for site, letter in letters.items():
-        out = out @ op_at(n, site, letter)
-    return out
+def letters_at(n: int, letters: dict[int, str]) -> str:
+    """The n-letter word with ``letters[site]`` on each listed site and I elsewhere."""
+    return "".join(letters.get(site, "I") for site in range(1, n + 1))
 
 
-def chain_hamiltonian(n: int, lam: float = 1.0, fields=None) -> np.ndarray:
-    """Alternating YY/XX bonds at perfect-transfer strengths, plus Z fields."""
+def terms_hamiltonian(n: int, terms) -> np.ndarray:
+    """Sum of weight * letters over the (weight, letters) pairs of an n-site operator."""
     h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for bond in range(1, n):
-        j = lam * math.sqrt(bond * (n - bond))
-        letter = "Y" if bond % 2 == 1 else "X"
-        h += j * letters_dense(n, {bond: letter, bond + 1: letter})
-    if fields is not None:
-        for site, b in enumerate(fields, start=1):
-            if b != 0.0:
-                h += b * op_at(n, site, "Z")
+    for weight, letters in terms:
+        h += weight * letters_dense(letters)
     return h
+
+
+def couplings(n: int, lam: float = 1.0, pattern: str = "matryoshka") -> tuple[list, list]:
+    """(J_X, J_Y) of a built-in pattern, from J_i = lam sqrt(i (N - i)).
+
+    Perfect transfer puts J_i on both letters of bond i; the matryoshka
+    pattern keeps only YY on odd bonds and only XX on even bonds.
+    """
+    j = [lam * math.sqrt(bond * (n - bond)) for bond in range(1, n)]
+    if pattern == "perfect-transfer":
+        return j, j
+    if pattern != "matryoshka":
+        raise ValueError(f"no coupling formula for pattern {pattern!r}")
+    j_x = [0.0 if bond % 2 == 1 else j[bond - 1] for bond in range(1, n)]
+    j_y = [j[bond - 1] if bond % 2 == 1 else 0.0 for bond in range(1, n)]
+    return j_x, j_y
+
+
+def chain_hamiltonian(j_x, j_y, fields=()) -> np.ndarray:
+    """sum_i (J_X,i X_i X_i+1 + J_Y,i Y_i Y_i+1) + sum_i B_i Z_i from the plain numbers."""
+    n = len(j_x) + 1
+    terms = []
+    for bond in range(1, n):
+        for letter, j in (("X", j_x[bond - 1]), ("Y", j_y[bond - 1])):
+            if j != 0.0:
+                terms.append((j, letters_at(n, {bond: letter, bond + 1: letter})))
+    for site, b in enumerate(fields, start=1):
+        if b != 0.0:
+            terms.append((b, letters_at(n, {site: "Z"})))
+    return terms_hamiltonian(n, terms)
+
+
+def spec_hamiltonian(spec) -> np.ndarray:
+    """H of a ``ChainSpec`` from its numbers: the pattern's formula or its custom J arrays."""
+    pattern = spec.pattern.value
+    if pattern == "custom":
+        j_x, j_y = spec.j_x, spec.j_y
+    else:
+        j_x, j_y = couplings(spec.n_sites, spec.lam, pattern)
+    return chain_hamiltonian(j_x, j_y, spec.fields_b)
 
 
 @functools.cache
 def t_star_unitary(n: int) -> np.ndarray:
-    """exp(-i H t*) of the field-free chain at lam = 1, built once per length."""
-    u = expm(-1j * T_STAR * chain_hamiltonian(n))
+    """exp(-i H t*) of the field-free matryoshka chain at lam = 1, built once per length."""
+    u = expm(-1j * T_STAR * chain_hamiltonian(*couplings(n)))
     u.setflags(write=False)
     return u
 
 
 def evolve_dense(h: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
     return expm(-1j * t * h) @ vec
+
+
+def closed_form_three_site_unitary(t: float, lam: float = 1.0) -> np.ndarray:
+    """Exact N=3 propagator for the matryoshka pattern.
+
+    With A = Y1 Y2 and B = X2 X3 the Hamiltonian is sqrt(2) lam (A + B)
+    where A and B square to one and anticommute, so H^2 = 4 lam^2 and
+
+        U(t) = cos(2 lam t) - i sin(2 lam t) (A + B) / sqrt(2).
+    """
+    a = letters_dense("YYI")
+    b = letters_dense("IXX")
+    angle = 2.0 * lam * t
+    return np.cos(angle) * np.eye(8, dtype=complex) - 1j * np.sin(angle) * (a + b) / np.sqrt(2.0)
+
+
+def closed_form_three_site_all0(t: float, lam: float = 1.0) -> np.ndarray:
+    """Closed-form evolution of |000> on the three-site chain."""
+    return closed_form_three_site_unitary(t, lam) @ basis_vec(3, 0)
+
+
+def exhaustive_pauli_decompose(matrix: np.ndarray) -> list[tuple[complex, str]]:
+    """Coefficients tr(P M)/2^N over every Pauli string, via dense traces.
+
+    Returns (coefficient, letters) for the strings with |coefficient|
+    above 1e-12, largest first with letter order breaking ties.  Stops
+    at 5 sites (4^5 traces).
+    """
+    dim = matrix.shape[0]
+    n = int(dim).bit_length() - 1
+    if dim != (1 << n) or matrix.shape != (dim, dim):
+        raise ValueError(f"operator shape {matrix.shape} is not 2^N x 2^N")
+    if n > 5:
+        raise ValueError(f"exhaustive decomposition stops at 5 sites, got {n}")
+    out = []
+    for word in itertools.product("IXYZ", repeat=n):
+        letters = "".join(word)
+        coefficient = complex(np.trace(letters_dense(letters) @ matrix) / dim)
+        if abs(coefficient) > 1e-12:
+            out.append((coefficient, letters))
+    out.sort(key=lambda item: (-abs(item[0]), item[1]))
+    return out
 
 
 def basis_vec(n: int, index: int) -> np.ndarray:
@@ -245,8 +322,8 @@ def ghz_ref(n: int, fields=None) -> dict:
     if fields is None:
         u = t_star_unitary(n)
     else:
-        u = expm(-1j * T_STAR * chain_hamiltonian(n, fields=fields))
-    hadamard = op_at(n, (n + 1) // 2, "H")
+        u = expm(-1j * T_STAR * chain_hamiltonian(*couplings(n), fields))
+    hadamard = letters_dense(letters_at(n, {(n + 1) // 2: "H"}))
     state = u @ (hadamard @ (u @ basis_vec(n, 0)))
     a = complex(state[0])
     b = complex(state[-1])
@@ -268,7 +345,7 @@ def sweep_minima_ref(grid: int = 21, b3_ratios=(0.0, 0.05, 0.1)) -> dict:
             for b2 in axis:
                 fields = (b1 * j_edge, b2 * j_edge, b3 * j_edge)
                 evolved = evolve_dense(
-                    chain_hamiltonian(n, fields=fields), basis_vec(n, 0), T_STAR
+                    chain_hamiltonian(*couplings(n), fields), basis_vec(n, 0), T_STAR
                 )
                 worst = min(worst, float(abs(np.vdot(reference, evolved))))
         minima[f"{b3:g}"] = worst
@@ -280,7 +357,7 @@ def reference_point_ref(scale: float = 1.0) -> float:
     j_edge = math.sqrt(2.0)
     fields = tuple(scale * r * j_edge for r in REFERENCE_RATIOS)
     reference = t_star_unitary(n) @ basis_vec(n, 0)
-    evolved = evolve_dense(chain_hamiltonian(n, fields=fields), basis_vec(n, 0), T_STAR)
+    evolved = evolve_dense(chain_hamiltonian(*couplings(n), fields), basis_vec(n, 0), T_STAR)
     return float(abs(np.vdot(reference, evolved)))
 
 
@@ -288,7 +365,7 @@ def perturbed_extraction_ref() -> dict:
     n = 3
     j_edge = math.sqrt(2.0)
     fields = tuple(0.05 * j_edge for _ in range(n))
-    state = evolve_dense(chain_hamiltonian(n, fields=fields), basis_vec(n, 0), T_STAR)
+    state = evolve_dense(chain_hamiltonian(*couplings(n), fields), basis_vec(n, 0), T_STAR)
     pair, _, _, purity, overlap = extract_ref(state, n)
     label, label_fidelity = closest_bell_ref(pair)
     return {

@@ -9,7 +9,6 @@ from bellchain import (
     StateVector,
     ValidationError,
     bell_state,
-    build_hamiltonian,
     concurrence,
     field_sweep,
     purity,
@@ -19,8 +18,14 @@ from bellchain import (
     sweep_summary,
     sweep_to_csv,
 )
-from bellchain.oracle import dense_expm_evolve
-from _reference import reference_point_ref, sweep_minima_ref
+from _reference import (
+    basis_vec,
+    chain_hamiltonian,
+    couplings,
+    evolve_dense,
+    reference_point_ref,
+    sweep_minima_ref,
+)
 
 
 def bell_rho(label: BellLabel) -> np.ndarray:
@@ -130,13 +135,13 @@ def test_sweep_minima_match_oracle():
         )
 
 
-def _oracle_fidelity(lam: float, t: float, ratios: tuple[float, ...]) -> float:
-    """Fidelity from the dense expm oracle, fields as ratios of lam * sqrt(2)."""
-    zero = StateVector.zero_state(3)
+def _dense_fidelity(lam: float, t: float, ratios: tuple[float, ...]) -> float:
+    """Fidelity from the dense expm reference, fields as ratios of lam * sqrt(2)."""
+    zero = basis_vec(3, 0)
     fields = tuple(r * lam * np.sqrt(2.0) for r in ratios)
-    ideal = dense_expm_evolve(build_hamiltonian(ChainSpec(3, lam)), zero, t)
-    actual = dense_expm_evolve(build_hamiltonian(ChainSpec(3, lam, fields_b=fields)), zero, t)
-    return abs(np.vdot(ideal.amplitudes, actual.amplitudes))
+    ideal = evolve_dense(chain_hamiltonian(*couplings(3, lam)), zero, t)
+    actual = evolve_dense(chain_hamiltonian(*couplings(3, lam), fields), zero, t)
+    return abs(np.vdot(ideal, actual))
 
 
 def test_study_matches_oracle_away_from_the_defaults():
@@ -145,9 +150,9 @@ def test_study_matches_oracle_away_from_the_defaults():
     for result in results:
         assert len(result.grid) == 9
         for b1, b2, fid in result.grid:
-            expected = _oracle_fidelity(2.0, 0.3, (b1, b2, result.b3_ratio))
+            expected = _dense_fidelity(2.0, 0.3, (b1, b2, result.b3_ratio))
             assert fid == pytest.approx(expected, abs=1e-12)
-    expected = _oracle_fidelity(2.0, 0.3, tuple(1.3 * r for r in REFERENCE_FIELD_RATIOS))
+    expected = _dense_fidelity(2.0, 0.3, tuple(1.3 * r for r in REFERENCE_FIELD_RATIOS))
     assert reference_point_fidelity(1.3, 2.0, 0.3) == pytest.approx(expected, abs=1e-12)
 
 

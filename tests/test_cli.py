@@ -138,11 +138,20 @@ def test_even_chain_rejected(capsys):
     assert "odd" in captured.err
 
 
-def test_malformed_field_list(capsys):
-    code = main(["verify", "--n", "3", "--b", "0.1,oops,0.3"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "field list" in captured.err
+def test_malformed_field_list(tmp_path, capsys):
+    # --b and the lists of a config file go through one parser, which names the list
+    config = tmp_path / "chain.cfg"
+    for flags, text, name in (
+        (["--b", "0.1,oops,0.3"], None, "field list"),
+        (["--config", str(config)], "b_fields = 0.1,,0.3\n", "b_fields list"),
+        (["--config", str(config)], "pattern = custom\nj_x = 1,x\nj_y = 1,1\n", "j_x list"),
+    ):
+        if text is not None:
+            config.write_text("n_sites = 3\n" + text)
+        code = main(["verify", "--n", "3", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and name in captured.err
 
 
 def test_unknown_flag_exits_two():

@@ -21,8 +21,8 @@ from bellchain import (
     matryoshka_time,
 )
 import bellchain.evolve
-from bellchain.oracle import dense_expm_evolve
 from _helpers import random_custom_spec, random_state
+from _reference import evolve_dense, letters_dense, spec_hamiltonian, terms_hamiltonian
 
 
 def test_matryoshka_time_scales_inversely():
@@ -81,7 +81,7 @@ def test_negative_time_inverts():
 
 
 def test_eigen_vs_krylov_agreement():
-    # random custom couplings and fields; eigen against Krylov and the dense expm oracle
+    # random custom couplings and fields; eigen against Krylov and the dense expm reference
     rng = np.random.default_rng(5)
     for n in (3, 5, 7, 9):
         spec = random_custom_spec(rng, n)
@@ -90,9 +90,9 @@ def test_eigen_vs_krylov_agreement():
         t = float(rng.uniform(0.2, 4.0))
         eager = Propagator(h, method="eigen").evolve(state, t)
         lazy = Propagator(h, method="krylov").evolve(state, t)
-        reference = dense_expm_evolve(h, state, t)
+        reference = evolve_dense(spec_hamiltonian(spec), state.amplitudes, t)
         assert np.linalg.norm(eager.amplitudes - lazy.amplitudes) < 1e-8
-        assert np.linalg.norm(eager.amplitudes - reference.amplitudes) < 1e-11
+        assert np.linalg.norm(eager.amplitudes - reference) < 1e-11
     # long times on the equally spaced perfect-transfer spectrum and on the matryoshka one,
     # where a Lanczos basis that lost its orthogonality would show
     for n in (9, 11):
@@ -106,28 +106,25 @@ def test_eigen_vs_krylov_agreement():
                 assert abs(np.linalg.norm(lazy) - 1.0) <= 1e-10
 
 
-def _terms(n_sites: int, *weighted: tuple[float, str]) -> HamiltonianTerms:
-    return HamiltonianTerms(
-        n_sites, tuple((w, PauliString.from_letters(letters)) for w, letters in weighted)
-    )
-
-
-# (terms, number of parity sectors, eigenvector dtype)
+# (three-site H as (weight, letters) pairs, number of parity sectors, eigenvector dtype)
 _HAND_BUILT = [
     # one spin flip and an imaginary Y: neither parity-conserving nor real
-    (_terms(3, (0.7, "XII"), (0.4, "IYI"), (0.3, "ZZZ")), 1, np.complex128),
+    (((0.7, "XII"), (0.4, "IYI"), (0.3, "ZZZ")), 1, np.complex128),
     # one spin flip but real entries
-    (_terms(3, (0.7, "XII"), (0.5, "IZI")), 1, np.float64),
+    (((0.7, "XII"), (0.5, "IZI")), 1, np.float64),
     # parity-conserving but imaginary (XY - YX is a Dzyaloshinskii-Moriya bond)
-    (_terms(3, (0.6, "XYI"), (-0.6, "YXI"), (0.9, "IXX"), (0.2, "ZII")), 2, np.complex128),
+    (((0.6, "XYI"), (-0.6, "YXI"), (0.9, "IXX"), (0.2, "ZII")), 2, np.complex128),
     # single-site X plus ZZ bonds
-    (_terms(3, (0.8, "IXI"), (0.5, "ZZI"), (-0.3, "IZZ")), 1, np.float64),
+    (((0.8, "IXI"), (0.5, "ZZI"), (-0.3, "IZZ")), 1, np.float64),
 ]
 
 
 @pytest.mark.parametrize("h, n_sectors, dtype", _HAND_BUILT)
 def test_eigen_blocks_follow_the_terms(h, n_sectors, dtype):
+    # the library and the reference each build H from the same (weight, letters) pairs
     rng = np.random.default_rng(11)
+    reference_h = terms_hamiltonian(3, h)
+    h = HamiltonianTerms(3, tuple((w, PauliString.from_letters(letters)) for w, letters in h))
     eager = Propagator(h, method="eigen")
     sectors = h._parity_sectors
     assert len(sectors) == n_sectors
@@ -140,19 +137,19 @@ def test_eigen_blocks_follow_the_terms(h, n_sectors, dtype):
         np.testing.assert_array_equal(sector.dense(), dense[np.ix_(idx, idx)])
         w, v = sector._eigh
         assert w.dtype == np.float64 and v.dtype == dtype
+    np.testing.assert_allclose(dense, reference_h, rtol=0, atol=1e-15)
     state = random_state(rng, 3)
     np.testing.assert_allclose(
-        h.apply(state.amplitudes), dense @ state.amplitudes, rtol=0, atol=1e-12
+        h.apply(state.amplitudes), reference_h @ state.amplitudes, rtol=0, atol=1e-12
     )
     for t in (0.3, -1.7, 4.2):
-        reference = dense_expm_evolve(h, state, t).amplitudes
+        reference = evolve_dense(reference_h, state.amplitudes, t)
         lazy = Propagator(h, method="krylov").evolve(state, t).amplitudes
         np.testing.assert_allclose(eager.evolve(state, t).amplitudes, reference, atol=1e-12)
         np.testing.assert_allclose(lazy, reference, atol=1e-9)
-    pauli = PauliString.from_letters("XIY")
-    matrix = heisenberg_evolve(h, pauli, 0.8)
-    u = scipy.linalg.expm(-0.8j * h.dense())
-    np.testing.assert_allclose(matrix, u.conj().T @ pauli.dense() @ u, atol=1e-12)
+    matrix = heisenberg_evolve(h, PauliString.from_letters("XIY"), 0.8)
+    u = scipy.linalg.expm(-0.8j * reference_h)
+    np.testing.assert_allclose(matrix, u.conj().T @ letters_dense("XIY") @ u, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -180,7 +177,8 @@ def test_krylov_matches_independent_routes_backwards_in_time():
     rng = np.random.default_rng(13)
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     for n in (9, 11):
-        h = build_hamiltonian(random_custom_spec(rng, n))
+        spec = random_custom_spec(rng, n)
+        h = build_hamiltonian(spec)
         # both fill the two parity sectors: a random state, and a Hadamard on the middle site
         states = (
             random_state(rng, n),
@@ -188,25 +186,26 @@ def test_krylov_matches_independent_routes_backwards_in_time():
         )
         t = float(-rng.uniform(0.5, 2.0))
         for state in states:
-            # the dense expm oracle stops at 10 sites; at 11 the exact eigen route stands in
+            # the dense expm reference runs to 9 sites; at 11 the exact eigen route stands in
             if n < 11:
-                expected = dense_expm_evolve(h, state, t)
+                expected = evolve_dense(spec_hamiltonian(spec), state.amplitudes, t)
             else:
-                expected = Propagator(h, method="eigen").evolve(state, t)
+                expected = Propagator(h, method="eigen").evolve(state, t).amplitudes
             lazy = Propagator(h, method="krylov").evolve(state, t)
-            assert np.linalg.norm(lazy.amplitudes - expected.amplitudes) < 1e-9
+            assert np.linalg.norm(lazy.amplitudes - expected) < 1e-9
 
 
 def test_krylov_shrinks_the_step_when_the_full_basis_fails(monkeypatch):
     rng = np.random.default_rng(14)
-    h = build_hamiltonian(random_custom_spec(rng, 7))
+    spec = random_custom_spec(rng, 7)
+    h = build_hamiltonian(spec)
     state = random_state(rng, 7)
     monkeypatch.setattr(bellchain.evolve, "_KRYLOV_MAX_SUBSPACE", 8)
     calls = _count_applies(monkeypatch)
     for t in (4.0, -4.0):
         lazy = Propagator(h, method="krylov").evolve(state, t)
-        reference = dense_expm_evolve(h, state, t)
-        assert np.linalg.norm(lazy.amplitudes - reference.amplitudes) < 1e-8
+        reference = evolve_dense(spec_hamiltonian(spec), state.amplitudes, t)
+        assert np.linalg.norm(lazy.amplitudes - reference) < 1e-8
     # eight vectors cannot carry t = 4 in one step, nor in a few
     assert calls[0] > 2 * 10 * 8
 
@@ -231,12 +230,12 @@ def test_tridiagonal_solve_matches_scipy():
 def test_krylov_tolerance_bounds_the_whole_evolution(monkeypatch):
     # eight vectors need many short steps, whose error estimates must sum to 1e-10
     rng = np.random.default_rng(14)
-    h = build_hamiltonian(random_custom_spec(rng, 7))
+    spec = random_custom_spec(rng, 7)
     state = random_state(rng, 7)
     monkeypatch.setattr(bellchain.evolve, "_KRYLOV_MAX_SUBSPACE", 8)
-    lazy = Propagator(h, method="krylov").evolve(state, 4.0)
-    reference = dense_expm_evolve(h, state, 4.0)
-    assert np.linalg.norm(lazy.amplitudes - reference.amplitudes) < 1e-10
+    lazy = Propagator(build_hamiltonian(spec), method="krylov").evolve(state, 4.0)
+    reference = evolve_dense(spec_hamiltonian(spec), state.amplitudes, 4.0)
+    assert np.linalg.norm(lazy.amplitudes - reference) < 1e-10
 
 
 def test_krylov_gives_up_promptly(monkeypatch):
@@ -314,7 +313,7 @@ def test_chain_hamiltonians_split_into_two_real_parity_blocks(n):
 
 
 def test_parity_sectors_are_exact_slices_at_11_sites():
-    # beyond the oracle's 10 sites, eigen and Krylov are each other's only
+    # beyond the dense reference's sizes, eigen and Krylov are each other's only
     # reference, and both run on these sectors
     h = build_hamiltonian(random_custom_spec(np.random.default_rng(111), 11))
     dense = h.dense()
@@ -427,8 +426,7 @@ def test_heisenberg_site_limits():
 
 
 def test_reconstruction_from_coefficients():
-    h = build_hamiltonian(ChainSpec(3, fields_b=(0.1, -0.4, 0.2)))
-    pauli = PauliString.from_letters("YIY")
-    matrix = heisenberg_evolve(h, pauli, 0.6)
-    u = scipy.linalg.expm(-0.6j * h.dense())
-    np.testing.assert_allclose(matrix, u.conj().T @ pauli.dense() @ u, atol=1e-12)
+    spec = ChainSpec(3, fields_b=(0.1, -0.4, 0.2))
+    matrix = heisenberg_evolve(build_hamiltonian(spec), PauliString.from_letters("YIY"), 0.6)
+    u = scipy.linalg.expm(-0.6j * spec_hamiltonian(spec))
+    np.testing.assert_allclose(matrix, u.conj().T @ letters_dense("YIY") @ u, atol=1e-12)

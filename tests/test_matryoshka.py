@@ -28,8 +28,14 @@ from bellchain import (
     mirror_pair_sign,
     verify_matryoshka,
 )
-from bellchain.oracle import dense_hamiltonian, dense_pauli
-from _reference import basis_vec, schedule_case_ref, t_star_unitary
+from _reference import (
+    basis_vec,
+    letters_at,
+    letters_dense,
+    schedule_case_ref,
+    spec_hamiltonian,
+    t_star_unitary,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -274,22 +280,24 @@ def test_one_hamiltonian_is_diagonalised_once(monkeypatch):
 
 @functools.lru_cache
 def _dense_z_strings(n: int) -> list[np.ndarray]:
-    """Kronecker-built Z-strings for masks 1 .. 2^N - 1."""
-    return [dense_pauli(PauliString(n, 0, mask)) for mask in range(1, 1 << n)]
+    """Kronecker-built Z-strings for masks 1 .. 2^N - 1 (bit s - 1 holds site s)."""
+    return [
+        letters_dense("".join("IZ"[mask >> (s - 1) & 1] for s in range(1, n + 1)))
+        for mask in range(1, 1 << n)
+    ]
 
 
 def _dense_flux_reference(spec: ChainSpec, t: float) -> list[tuple]:
     """(z_sites, sign, matched, coefficient, residual) per pair operator,
-    from expm of the Kronecker-built Hamiltonian and explicit traces."""
+    from expm of the Hamiltonian built from the spec's numbers and explicit traces."""
     n = spec.n_sites
-    u = scipy.linalg.expm(-1j * t * dense_hamiltonian(build_hamiltonian(spec)))
+    u = scipy.linalg.expm(-1j * t * spec_hamiltonian(spec))
     z_strings = _dense_z_strings(n)
     out = []
     for i in range(1, (n - 1) // 2 + 1):
         for letter in ("X", "Y"):
-            letters = ["I"] * n
-            letters[i - 1] = letters[n - i] = letter
-            m = u.conj().T @ dense_pauli(PauliString.from_letters(letters)) @ u
+            pair = letters_dense(letters_at(n, {i: letter, n - i + 1: letter}))
+            m = u.conj().T @ pair @ u
             coefficients = np.array(
                 [np.einsum("ij,ji->", z, m).real / (1 << n) for z in z_strings]
             )

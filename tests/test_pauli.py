@@ -29,26 +29,15 @@ from bellchain import (
     reference_point_fidelity,
     verify_matryoshka,
 )
+from _reference import letters_at, letters_dense
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-MATS = {"I": np.eye(2, dtype=complex), "X": X, "Y": Y, "Z": Z}
-
-
-def kron_dense(letters: str) -> np.ndarray:
-    # letters are site-ordered (site 1 first); site 1 is the least
-    # significant bit, so site N goes leftmost in the Kronecker product
-    out = np.eye(1, dtype=complex)
-    for letter in reversed(letters):
-        out = np.kron(out, MATS[letter])
-    return out
 
 
 def test_single_letter_dense_matches_kron():
     for letters in ("X", "Y", "Z", "I"):
         np.testing.assert_allclose(
-            PauliString.from_letters(letters).dense(), kron_dense(letters), atol=1e-15
+            PauliString.from_letters(letters).dense(), letters_dense(letters), atol=1e-15
         )
 
 
@@ -59,7 +48,7 @@ def test_multi_letter_dense_matches_kron():
         n = int(rng.integers(1, 6))
         letters = "".join(rng.choice(alphabet, size=n))
         np.testing.assert_allclose(
-            PauliString.from_letters(letters).dense(), kron_dense(letters), atol=1e-15
+            PauliString.from_letters(letters).dense(), letters_dense(letters), atol=1e-15
         )
 
 
@@ -162,9 +151,7 @@ def test_gate_apply_matches_dense():
     amps /= np.linalg.norm(amps)
     state = StateVector(amps)
     for site in range(1, 6):
-        dense = np.eye(1, dtype=complex)
-        for s in range(5, 0, -1):
-            dense = np.kron(dense, hadamard if s == site else np.eye(2))
+        dense = letters_dense(letters_at(5, {site: "H"}))
         np.testing.assert_allclose(
             gate_apply(state, site, hadamard).amplitudes, dense @ amps, atol=1e-12
         )
