@@ -3,8 +3,9 @@
 An alternating pattern of YY and XX bonds at perfect-transfer strengths
 turns a single product state into concentric Bell pairs after a quarter
 period.  This package provides the sparse Pauli machinery, exact
-propagators, the pairing schedule, extraction and GHZ protocols, and
-field robustness sweeps.  The package runs on numpy alone; only
+propagators, the pairing schedule, its verification (also on 2N x 2N
+Majorana covariances, without a state), extraction and GHZ protocols,
+and field robustness sweeps.  The package runs on numpy alone; only
 ``bellchain.oracle``, a dense ``expm`` evolution that serves the
 benchmark's output checks (``bench/checks.py``) and that the package
 itself never imports, needs scipy.
@@ -39,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .evolve import Propagator, heisenberg_evolve, matryoshka_time
+from .fermion import verify_free_fermion
 from .matryoshka import (
     BellLabel,
     FluxMatch,
@@ -127,6 +129,7 @@ __all__ = [
     "state_fidelity",
     "sweep_summary",
     "sweep_to_csv",
+    "verify_free_fermion",
     "verify_matryoshka",
     "__version__",
 ]

@@ -29,6 +29,7 @@ from .analysis import (
 from .chain import ChainSpec, Pattern, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
 from .evolve import Propagator, matryoshka_time
+from .fermion import verify_free_fermion
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
 from .pauli import StateVector, _check_real, _parse_reals
 from .protocols import conveyor_run, ghz_protocol
@@ -166,8 +167,7 @@ def _t_star(args: argparse.Namespace, spec: ChainSpec) -> float:
     return args.t_star if args.t_star is not None else matryoshka_time(spec.lam)
 
 
-def _evolve_and_verify(args: argparse.Namespace):
-    """Evolve the --initial state to t*; return it, its report and the config."""
+def _cmd_generate(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     t_star = _t_star(args, spec)
     # the propagator is built, and checks the size against memory, before
@@ -179,12 +179,7 @@ def _evolve_and_verify(args: argparse.Namespace):
         t_star,
     )
     report = verify_matryoshka(state, bell_schedule(spec.n_sites, InitialState(args.initial)))
-    config = _spec_config_dict(spec, t_star, {"command": args.command, "initial": args.initial})
-    return state, report, config
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    state, report, config = _evolve_and_verify(args)
+    config = _spec_config_dict(spec, t_star, {"command": "generate", "initial": args.initial})
     payload = {
         "config": config,
         "state": {
@@ -202,7 +197,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_real("--min-fidelity", args.min_fidelity)
-    _, report, config = _evolve_and_verify(args)
+    spec = _resolve_spec(args)
+    t_star = _t_star(args, spec)
+    report = verify_free_fermion(spec, t_star, args.initial)
+    config = _spec_config_dict(spec, t_star, {"command": "verify", "initial": args.initial})
     payload = {"config": config, "verification": report.to_json_dict()}
     echo = [
         f"pair {pair.sites}: label {pair.label.value} "

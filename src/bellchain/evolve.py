@@ -77,6 +77,19 @@ def matryoshka_time(lam: float = 1.0) -> float:
     return t_star
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Raise ValidationError when ``what`` needs more than the host's physical memory.
+
+    ``need`` is in bytes.  Called before the allocation, so that a chain
+    too large for the host exits 2 instead of failing inside numpy.
+    """
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValidationError(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        )
+
+
 class Propagator:
     """Reusable exp(-iHt) engine for one Hamiltonian.
 
@@ -110,14 +123,10 @@ class Propagator:
                 f"got {hamiltonian.n_sites}; use the krylov method"
             )
         if method == "krylov":
-            need = _KRYLOV_MAX_SUBSPACE * (1 << hamiltonian.n_sites) * 16
-            have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-            if need > have:
-                raise ValidationError(
-                    f"a Krylov basis of {_KRYLOV_MAX_SUBSPACE} vectors at "
-                    f"{hamiltonian.n_sites} sites needs {need} bytes, more than the "
-                    f"{have} bytes of physical memory"
-                )
+            _check_memory(
+                _KRYLOV_MAX_SUBSPACE * (1 << hamiltonian.n_sites) * 16,
+                f"a Krylov basis of {_KRYLOV_MAX_SUBSPACE} vectors at {hamiltonian.n_sites} sites",
+            )
         self.hamiltonian = hamiltonian
         self.method = method
 

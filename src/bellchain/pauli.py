@@ -39,11 +39,15 @@ def _mask_action(pauli: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Column j of the string has one nonzero entry, at row j ^ x_mask,
     equal to i**(number of Y letters) times (-1)**popcount(j & z_mask).
-    Returns ``(rows, values)`` for the int64 array ``idx``.
+    Returns ``(rows, values)`` for the int64 array ``idx``, or for one
+    Python int ``idx`` of any length.
     """
-    # fold the bits of idx & z_mask down to their parity
+    # fold the bits of idx & z_mask down to their parity, halving a window
+    # that starts at the first power of two holding all n_sites bits
     parity = idx & pauli.z_mask
-    for shift in (32, 16, 8, 4, 2, 1):
+    shift = 1 << (pauli.n_sites - 1).bit_length()
+    while shift > 1:
+        shift >>= 1
         parity ^= parity >> shift
     phase = _PHASES[(pauli.x_mask & pauli.z_mask).bit_count() % 4]
     return idx ^ pauli.x_mask, phase * (1.0 - 2.0 * (parity & 1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bellchain.analysis
 from bellchain import (
     REFERENCE_FIELD_RATIOS,
     BellLabel,
@@ -133,6 +134,28 @@ def test_sweep_minima_match_oracle():
         assert result.min_fidelity == pytest.approx(
             reference[f"{result.b3_ratio:g}"], abs=1e-10
         )
+
+
+def test_study_places_each_field_on_its_site(monkeypatch):
+    # a fidelity from |000> cannot see a mirrored field layout (a mirror and a
+    # quarter turn about z map the chain onto itself), so the evolved states the
+    # study compares are checked against the reference amplitude by amplitude
+    compared = []
+
+    def recording(reference, perturbed):
+        compared.append(perturbed.amplitudes)
+        return state_fidelity(reference, perturbed)
+
+    monkeypatch.setattr(bellchain.analysis, "state_fidelity", recording)
+    results = field_sweep(ChainSpec(3, 2.0), grid_points=3, b3_ratios=(0.0, 0.1), t_star=0.3)
+    reference_point_fidelity(1.3, 2.0, 0.3)
+    points = [(b1, b2, r.b3_ratio) for r in results for b1, b2, _ in r.grid]
+    points.append(tuple(1.3 * r for r in REFERENCE_FIELD_RATIOS))
+    assert len(compared) == len(points)
+    for ratios, actual in zip(points, compared):
+        fields = tuple(r * 2.0 * np.sqrt(2.0) for r in ratios)
+        expected = evolve_dense(chain_hamiltonian(*couplings(3, 2.0), fields), basis_vec(3, 0), 0.3)
+        assert np.max(np.abs(actual - expected)) < 1e-12, ratios
 
 
 def _dense_fidelity(lam: float, t: float, ratios: tuple[float, ...]) -> float:

@@ -105,11 +105,21 @@ def test_out_echo_stdout(tmp_path, capsys, command):
     json.loads(capsys.readouterr().out)  # without --out, stdout is the JSON alone
 
 
-def test_generate_and_verify_share_the_verification(capsys):
+def test_generate_and_verify_agree_across_routes(capsys):
+    # generate scores the evolved state, verify the evolved covariance: the
+    # schedule is the same object, every number the same to rounding
     argv = ["--n", "5", "--b", "0.01,0.02,0.03,0.04,0.05", "--initial", "all1"]
-    generated = run_json(capsys, ["generate", *argv])
-    verified = run_json(capsys, ["verify", *argv, "--min-fidelity", "0"])
-    assert generated["verification"] == verified["verification"]
+    generated = run_json(capsys, ["generate", *argv])["verification"]
+    verified = run_json(capsys, ["verify", *argv, "--min-fidelity", "0"])["verification"]
+    assert generated["schedule"] == verified["schedule"]
+    assert generated["central"]["site"] == verified["central"]["site"]
+    for a, b in zip(generated["pairs"], verified["pairs"], strict=True):
+        assert (a["sites"], a["label"]) == (b["sites"], b["label"])
+        for key in ("concurrence", "bell_fidelity", "purity"):
+            assert a[key] == pytest.approx(b[key], abs=1e-9), key
+    for key in ("purity", "z_expectation"):
+        assert generated["central"][key] == pytest.approx(verified["central"][key], abs=1e-9)
+    assert generated["global_fidelity"] == pytest.approx(verified["global_fidelity"], abs=1e-9)
 
 
 def test_verify_passes_clean_chain(capsys):
@@ -313,7 +323,7 @@ def test_krylov_convergence_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(bellchain.evolve, "_KRYLOV_TOLERANCE", 1e-300)
     monkeypatch.setattr(bellchain.evolve, "_KRYLOV_MAX_SUBSPACE", 2)
     monkeypatch.setattr(cli, "Propagator", functools.partial(Propagator, method="krylov"))
-    assert main(["verify", "--n", "5"]) == 3
+    assert main(["generate", "--n", "5"]) == 3
     assert "did not reach tolerance" in capsys.readouterr().err
 
 
@@ -323,9 +333,20 @@ def test_chain_too_large_for_memory_exits_two_before_any_state(monkeypatch, caps
 
     monkeypatch.setattr(StateVector, "zero_state", unreachable)
     monkeypatch.setattr(StateVector, "from_bits", unreachable)
-    for command in ("generate", "verify"):
-        assert main([command, "--n", "31"]) == 2
-        assert "physical memory" in capsys.readouterr().err
+    assert main(["generate", "--n", "31"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_verify_builds_no_state(monkeypatch, capsys):
+    # the covariance route holds 62 x 62 matrices where a state would need 2^31 amplitudes
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a state was allocated")
+
+    for name in ("zero_state", "from_bits", "_trusted", "__init__"):
+        monkeypatch.setattr(StateVector, name, unreachable)
+    for initial in ("all0", "all1"):
+        payload = run_json(capsys, ["verify", "--n", "31", "--initial", initial])
+        assert payload["verification"]["global_fidelity"] > 1 - 1e-10
 
 
 def test_ghz_json(capsys):
@@ -440,7 +461,7 @@ out = sys.argv[1]
 for argv in (
     ["generate", "--n", "5", "--b=0.01,-0.02,0.03,0.004,-0.005", "--out", out + "/generate.json"],
     ["verify", "--n", "7", "--out", out + "/verify7.json"],
-    ["verify", "--n", "13", "--out", out + "/verify13.json"],
+    ["generate", "--n", "13", "--out", out + "/generate13.json"],
     ["flux-check", "--n", "5", "--out", out + "/flux.json"],
     ["conveyor", "--n", "7", "--out", out + "/conveyor.json"],
     ["ghz", "--n", "5", "--out", out + "/ghz.json"],
@@ -458,5 +479,5 @@ def test_every_command_runs_without_scipy(tmp_path):
         [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path)], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    # verify --n 13 runs on the Krylov route, the only one that diagonalises T
-    assert json.loads((tmp_path / "verify13.json").read_text())["config"]["n_sites"] == 13
+    # generate --n 13 runs on the Krylov route, the only one that diagonalises T
+    assert json.loads((tmp_path / "generate13.json").read_text())["config"]["n_sites"] == 13

@@ -1,0 +1,208 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from bellchain import (
+    ChainSpec,
+    HamiltonianTerms,
+    InitialState,
+    PauliString,
+    Propagator,
+    StateVector,
+    ValidationError,
+    bell_schedule,
+    build_hamiltonian,
+    matryoshka_time,
+    verify_free_fermion,
+)
+from bellchain import fermion
+from bellchain.cli import main
+import bellchain.evolve
+from _helpers import random_custom_spec
+from _reference import basis_vec, evolve_dense, letters_dense, nested_amplitudes, rdm
+from _reference import spec_hamiltonian
+
+# a time away from t*, where nothing is a Bell pair
+T_OFF = 0.37
+
+
+def majorana_dense(n: int, k: int) -> np.ndarray:
+    """c_k from its letters: Z below site k // 2 + 1, X (k even) or Y (k odd) on it."""
+    site = k // 2 + 1
+    return letters_dense("Z" * (site - 1) + "XY"[k % 2] + "I" * (n - site))
+
+
+def covariance_ref(vec: np.ndarray, n: int) -> np.ndarray:
+    """Gamma_kl = i <c_k c_l> (k != l) of a state vector, by dense products."""
+    cs = [majorana_dense(n, k) for k in range(2 * n)]
+    gamma = np.zeros((2 * n, 2 * n))
+    for k in range(2 * n):
+        for l in range(2 * n):
+            if k != l:
+                gamma[k, l] = (1j * np.vdot(vec, cs[k] @ cs[l] @ vec)).real
+    return gamma
+
+
+def start_ref(n: int, initial: str) -> np.ndarray:
+    return basis_vec(n, 0 if initial == "all0" else (1 << n) - 1)
+
+
+def asymmetric_spec(rng: np.random.Generator, n: int) -> ChainSpec:
+    """The matryoshka chain with random fields that no mirror maps onto themselves."""
+    return ChainSpec(n, fields_b=tuple(rng.uniform(-0.3, 0.3, size=n)))
+
+
+@pytest.mark.parametrize("size", [2, 4, 6, 10, 16])
+def test_pfaffian_magnitude_and_sign(size):
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        m = rng.normal(size=(size, size))
+        a = m - m.T
+        pf = fermion._pfaffian(a)
+        assert pf**2 == pytest.approx(np.linalg.det(a), rel=1e-10)
+        # Pf(B A B^T) = det(B) Pf(A) fixes the sign as well
+        b = rng.normal(size=(size, size))
+        assert fermion._pfaffian(b @ a @ b.T) == pytest.approx(np.linalg.det(b) * pf, rel=1e-9)
+    # the canonical form: Pf is the product of the upper entries of its 2x2 blocks
+    blocks = [1.5, -2.0, 0.25, 3.0, -1.0, 2.0, 0.5, 1.0][: size // 2]
+    canonical = np.zeros((size, size))
+    for i, value in enumerate(blocks):
+        canonical[2 * i, 2 * i + 1], canonical[2 * i + 1, 2 * i] = value, -value
+    assert fermion._pfaffian(canonical) == pytest.approx(math.prod(blocks), rel=1e-14)
+    # a row swap of both sides flips the sign, and the pivot search must find it
+    swap = np.eye(size)[[1, 0, *range(2, size)]]
+    assert fermion._pfaffian(swap @ canonical @ swap.T) == pytest.approx(-math.prod(blocks))
+
+
+def test_pfaffian_of_odd_and_singular_matrices_is_zero():
+    assert fermion._pfaffian(np.zeros((3, 3))) == 0.0
+    assert fermion._pfaffian(np.zeros((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("letters", ["XII", "XZI", "ZZI", "XXX"])
+def test_terms_that_are_not_majorana_bilinears_are_refused(letters):
+    hamiltonian = HamiltonianTerms(3, ((1.0, PauliString.from_letters(letters)),))
+    with pytest.raises(ValidationError, match="not a free-fermion model"):
+        fermion._generator(hamiltonian)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_generator_reproduces_the_hamiltonian(n):
+    # H = (i/4) sum_kl A_kl c_k c_l, with c_k from its letters and H from the spec's numbers
+    spec = random_custom_spec(np.random.default_rng(n), n)
+    a = fermion._generator(build_hamiltonian(spec))
+    assert np.array_equal(a, -a.T)
+    cs = [majorana_dense(n, k) for k in range(2 * n)]
+    h = sum(0.25j * a[k, l] * cs[k] @ cs[l] for k in range(2 * n) for l in range(2 * n))
+    assert np.max(np.abs(h - spec_hamiltonian(spec))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("initial", ["all0", "all1"])
+def test_covariance_matches_the_dense_reference(n, initial):
+    rng = np.random.default_rng(n)
+    for spec in (random_custom_spec(rng, n), asymmetric_spec(rng, n)):
+        vec = evolve_dense(spec_hamiltonian(spec), start_ref(n, initial), T_OFF)
+        gamma = fermion._evolved_covariance(spec, T_OFF, InitialState(initial))
+        assert np.max(np.abs(gamma - covariance_ref(vec, n))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("initial", ["all0", "all1"])
+def test_ideal_covariance_is_the_scheduled_state(n, initial):
+    schedule = bell_schedule(n, initial)
+    vec = nested_amplitudes(
+        n,
+        [(p, q, label.value) for (p, q), label in schedule.pairs],
+        schedule.central_site,
+        schedule.central_value,
+    )
+    gamma = fermion._ideal_covariance(schedule)
+    assert np.max(np.abs(gamma - covariance_ref(vec, n))) < 1e-12
+    assert np.max(np.abs(gamma @ gamma + np.eye(2 * n))) < 1e-12  # a pure Gaussian state
+
+
+def assert_report_matches_state(spec, t, initial, vec, tol):
+    """Pair densities, central Z and global fidelity of the route against a state vector."""
+    n = spec.n_sites
+    schedule = bell_schedule(n, initial)
+    gamma = fermion._evolved_covariance(spec, t, InitialState(initial))
+    for (p, q), _ in schedule.pairs:
+        assert np.max(np.abs(fermion._pair_density(gamma, p, q) - rdm(vec, n, (p, q)))) < tol
+    report = verify_free_fermion(spec, t, initial)
+    central = rdm(vec, n, (schedule.central_site,))
+    assert report.central_z == pytest.approx((central[0, 0] - central[1, 1]).real, abs=tol)
+    assert report.central_purity == pytest.approx(np.trace(central @ central).real, abs=tol)
+    ideal = nested_amplitudes(
+        n,
+        [(p, q, label.value) for (p, q), label in schedule.pairs],
+        schedule.central_site,
+        schedule.central_value,
+    )
+    assert report.global_fidelity == pytest.approx(abs(np.vdot(ideal, vec)), abs=tol)
+    assert [(r.sites, r.label) for r in report.pair_reports] == list(schedule.pairs)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("initial", ["all0", "all1"])
+def test_report_matches_the_dense_reference(n, initial):
+    rng = np.random.default_rng(100 + n)
+    for spec, t in (
+        (random_custom_spec(rng, n), T_OFF),
+        (asymmetric_spec(rng, n), T_OFF),
+        (asymmetric_spec(rng, n), matryoshka_time()),
+    ):
+        vec = evolve_dense(spec_hamiltonian(spec), start_ref(n, initial), t)
+        assert_report_matches_state(spec, t, initial, vec, 1e-10)
+
+
+def evolved_state(spec: ChainSpec, t: float, initial: str, method: str) -> np.ndarray:
+    n = spec.n_sites
+    start = StateVector.zero_state(n) if initial == "all0" else StateVector.from_bits("1" * n)
+    return Propagator(build_hamiltonian(spec), method).evolve(start, t).amplitudes
+
+
+def test_report_matches_the_eigen_state_route_at_11_sites():
+    # the dense Kronecker reference takes seconds at 11 sites, the eigen route a fraction
+    rng = np.random.default_rng(11)
+    cases = ((random_custom_spec(rng, 11), "all1"), (asymmetric_spec(rng, 11), "all0"))
+    for spec, initial in cases:
+        vec = evolved_state(spec, T_OFF, initial, "eigen")
+        assert_report_matches_state(spec, T_OFF, initial, vec, 1e-10)
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_report_matches_the_krylov_state_route(n):
+    # Krylov bounds its own error by 1e-10, so the two routes agree to a few of that
+    rng = np.random.default_rng(n)
+    spec = asymmetric_spec(rng, n)
+    for initial, t in (("all0", matryoshka_time()), ("all1", T_OFF)):
+        vec = evolved_state(spec, t, initial, "krylov")
+        assert_report_matches_state(spec, t, initial, vec, 1e-9)
+
+
+def test_verify_at_51_sites(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--n", "51", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())["verification"]
+    schedule = bell_schedule(51)
+    assert [(tuple(p["sites"]), p["label"]) for p in report["pairs"]] == [
+        (sites, label.value) for sites, label in schedule.pairs
+    ]
+    assert report["global_fidelity"] > 1 - 1e-10
+    assert all(p["concurrence"] > 1 - 1e-10 for p in report["pairs"])
+    assert report["central"]["z_expectation"] == pytest.approx(1 - 2 * schedule.central_value)
+
+
+def test_covariance_route_must_fit_in_memory(monkeypatch, capsys):
+    # the route's complex 26 x 26 matrices: exactly at the limit passes, a byte less exits 2
+    need = fermion._MATRICES_HELD * 26**2 * 16
+    for pages, code in ((need, 0), (need - 1, 2)):
+        sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(bellchain.evolve.os, "sysconf", sizes.__getitem__)
+        assert main(["verify", "--n", "13"]) == code
+        if code == 2:
+            assert "physical memory" in capsys.readouterr().err

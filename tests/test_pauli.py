@@ -29,6 +29,7 @@ from bellchain import (
     reference_point_fidelity,
     verify_matryoshka,
 )
+from bellchain.pauli import _mask_action
 from _reference import letters_at, letters_dense
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,6 +51,20 @@ def test_multi_letter_dense_matches_kron():
         np.testing.assert_allclose(
             PauliString.from_letters(letters).dense(), letters_dense(letters), atol=1e-15
         )
+
+
+@pytest.mark.parametrize("n", [1, 5, 62, 64, 65, 101])
+def test_mask_action_on_one_index_of_any_length(n):
+    # one Python int index takes strings longer than the 64 bits of an int64 array
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x, z, idx = (int("".join(rng.choice(["0", "1"], size=n)), 2) for _ in range(3))
+        row, value = _mask_action(PauliString(n, x, z), idx)
+        assert row == idx ^ x
+        assert value == 1j ** (x & z).bit_count() * (-1) ** (idx & z).bit_count()
+        if n < 63:
+            rows, values = _mask_action(PauliString(n, x, z), np.array([idx], dtype=np.int64))
+            assert (rows[0], values[0]) == (row, value)
 
 
 def test_letters_round_trip():
