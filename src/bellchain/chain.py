@@ -160,14 +160,10 @@ class HamiltonianTerms:
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """``(eigenvalues, eigenvectors)`` of ``dense()``, computed on first use and kept.
 
-        Taken in real arithmetic when the matrix has no imaginary part.
         Every exact evolution under this Hamiltonian, of states and
         operators alike, shares it.
         """
-        h = self.dense()
-        if not h.imag.any():
-            h = h.real
-        return np.linalg.eigh(h)
+        return np.linalg.eigh(self.dense())
 
     @functools.cached_property
     def _parity_sectors(self) -> tuple[tuple[np.ndarray, HamiltonianTerms], ...]:
@@ -220,13 +216,20 @@ class HamiltonianTerms:
         return out.reshape(amplitudes.shape)
 
     def dense(self) -> np.ndarray:
-        """Materialize H as a 2^N x 2^N array via the mask action."""
+        """Materialize H as a 2^N x 2^N array via the mask action.
+
+        The array is float64 when every term has an even number of Y
+        letters, so that each matrix element is real (every chain from
+        :func:`build_hamiltonian` and both of its parity sectors), and
+        complex128 otherwise.
+        """
         dim = 1 << self.n_sites
         idx = np.arange(dim, dtype=np.int64)
-        mat = np.zeros((dim, dim), dtype=complex)
+        real = not any((string.x_mask & string.z_mask).bit_count() % 2 for _, string in self.terms)
+        mat = np.zeros((dim, dim), dtype=float if real else complex)
         for weight, string in self.terms:
             rows, values = _mask_action(string, idx)
-            mat[rows, idx] += weight * values
+            mat[rows, idx] += weight * (values.real if real else values)
         return mat
 
 

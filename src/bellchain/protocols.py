@@ -13,8 +13,8 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, DensityMatrix, StateVector, _check_int, _partial_trace, gate_apply
-from .pauli import reduced_density
+from .pauli import _TIE_TOL, DensityMatrix, StateVector, _check_int, _check_real, _partial_trace
+from .pauli import gate_apply, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6
@@ -151,8 +151,7 @@ def conveyor_run(
     rounds = _check_int("rounds", rounds)
     if rounds < 0:
         raise ValidationError("rounds must be nonnegative")
-    if t_star is None:
-        t_star = matryoshka_time(spec.lam)
+    t_star = matryoshka_time(spec.lam) if t_star is None else _check_real("time", t_star)
     propagator = Propagator(build_hamiltonian(spec))
     state = StateVector.zero_state(spec.n_sites)
     records = []

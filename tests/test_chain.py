@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from bellchain import (
     ChainSpec,
+    HamiltonianTerms,
     Pattern,
+    PauliString,
     ValidationError,
     build_hamiltonian,
     load_chain_config,
@@ -13,6 +16,8 @@ from bellchain import (
     perfect_transfer_couplings,
     save_chain_config,
 )
+from _helpers import random_custom_spec
+from _reference import spec_hamiltonian, terms_hamiltonian
 
 
 def test_perfect_transfer_couplings_values():
@@ -104,6 +109,48 @@ def test_dense_matches_term_sum():
     manual = sum(w * s.dense() for w, s in h.terms)
     np.testing.assert_allclose(h.dense(), manual, atol=1e-14)
     np.testing.assert_allclose(h.dense(), h.dense().conj().T, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_chain_hamiltonians_and_their_sectors_are_built_real(n):
+    rng = np.random.default_rng(n)
+    fields = tuple(rng.uniform(-1.0, 1.0, size=n))
+    custom = random_custom_spec(rng, n)
+    specs = [
+        ChainSpec(n),
+        ChainSpec(n, fields_b=fields),
+        ChainSpec(n, pattern=Pattern.PERFECT_TRANSFER),
+        ChainSpec(n, 0.8, Pattern.PERFECT_TRANSFER, fields),
+        dataclasses.replace(custom, fields_b=()),
+        custom,
+    ]
+    for spec in specs:
+        h = build_hamiltonian(spec)
+        reference = spec_hamiltonian(spec)
+        dense = h.dense()
+        assert dense.dtype == np.float64
+        np.testing.assert_allclose(dense, reference, rtol=0, atol=1e-15)
+        sectors = h._parity_sectors
+        assert len(sectors) == 2
+        for idx, sector in sectors:
+            block = sector.dense()
+            assert block.dtype == np.float64
+            np.testing.assert_allclose(block, reference[np.ix_(idx, idx)], rtol=0, atol=1e-15)
+
+
+def test_odd_y_terms_keep_a_complex_dense():
+    # XY - YX (a Dzyaloshinskii-Moriya bond) has imaginary matrix elements
+    terms = ((0.6, "XYIII"), (-0.6, "YXIII"), (0.9, "IXXII"), (0.4, "IIYYI"), (0.2, "ZIIIZ"))
+    reference = terms_hamiltonian(5, terms)
+    assert reference.imag.any()
+    h = HamiltonianTerms(5, tuple((w, PauliString.from_letters(s)) for w, s in terms))
+    dense = h.dense()
+    assert dense.dtype == np.complex128
+    np.testing.assert_allclose(dense, reference, rtol=0, atol=1e-15)
+    for idx, sector in h._parity_sectors:
+        block = sector.dense()
+        assert block.dtype == np.complex128
+        np.testing.assert_allclose(block, reference[np.ix_(idx, idx)], rtol=0, atol=1e-15)
 
 
 def test_apply_matches_dense():

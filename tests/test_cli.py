@@ -233,11 +233,15 @@ def test_flux_check_takes_its_time_from_t_star(tmp_path, capsys):
         ["sweep", "--n", "3", "--lam", "inf"],
         ["reference-point", "--lam", "nan"],
         ["verify", "--n", "3", "--min-fidelity", "nan"],
+        # zero rounds never evolve, so the time is checked before the first round
+        ["conveyor", "--n", "5", "--rounds", "0", "--t-star", "nan", "--out", "{tmp}/c.json"],
+        ["conveyor", "--n", "5", "--rounds", "0", "--t-star", "inf", "--out", "{tmp}/c.json"],
     ],
 )
-def test_non_finite_input_exits_two(capsys, argv):
-    assert main(argv) == 2
+def test_non_finite_input_exits_two(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
