@@ -7,20 +7,27 @@ field of a chain is a product of two of them, so the Hamiltonian is the
 quadratic form H = (i/4) sum_kl A_kl c_k c_l with A real antisymmetric
 and 2N x 2N.  The Majoranas then evolve linearly, c(t) = R c with
 R = e^(At), and the covariance Gamma_kl = i <c_k c_l> (k != l) of a
-state evolves as Gamma(t) = R Gamma(0) R^T.
+state evolves as Gamma(t) = R Gamma(0) R^T.  Each term pairs an even
+Majorana with an odd one, so R follows from the SVD of the real N x N
+block A[even, odd].
 
 A Z-basis product state is Gaussian, and stays Gaussian under H, so
 Wick's theorem makes every expectation a Pfaffian of a block of Gamma.
 The verification needs the seven parity-even two-site Pauli
 expectations of each mirror pair, which give its 4x4 density, Z on the
 central site, and the overlap with the ideal nested-Bell state, which
-for two pure Gaussian states is |<a|b>|^2 = |Pf((Gamma_a + Gamma_b)/2)|.
-Each step is O(N^3) work on matrices of at most 2N x 2N, instead of
-work on a 2^N-amplitude state, and there are O(N) of them, one per
-pair expectation (Terhal & DiVincenzo, PRA 65, 032325 (2002); the
-Pfaffian by Parlett-Reid elimination as in Wimmer, ACM TOMS 38, 30
-(2012)).  No state is ever built, so the chain length is bounded by
-2N x 2N matrices in memory, not by 2^N amplitudes.
+for two pure Gaussian states is |<a|b>|^2 = |Pf((Gamma_a + Gamma_b)/2)|
+(Terhal & DiVincenzo, PRA 65, 032325 (2002)).  Pfaffians come from
+Parlett-Reid elimination (Wimmer, ACM TOMS 38, 30 (2012)).  The four
+long strings of the mirror pairs, X or Y on both sites, share their
+inner blocks, which nest from the centre outwards, so one elimination
+carried over Gamma serves them all; a pair whose inner block is near
+singular, and every pair outside it, takes direct Pfaffians instead.
+At t* the whole verification is O(N^3) work on matrices of at most
+2N x 2N; away from it, where the inner Z strings decay, the direct
+Pfaffians of the outer pairs take it back towards O(N^4).  No state is
+ever built, so the chain length is bounded by 2N x 2N matrices in
+memory, not by 2^N amplitudes.
 """
 
 from __future__ import annotations
@@ -45,8 +52,12 @@ from .matryoshka import (
 )
 from .pauli import DensityMatrix, PauliString, _check_real, _mask_action
 
-# 2N x 2N complex matrices the route holds at once, counting eigh's workspace
-_MATRICES_HELD = 8
+# the route's memory in 2N x 2N matrices of 16 bytes an entry, each the room of two
+# real ones: A and R, Gamma(0) and R Gamma(0), Gamma and its transpose, and the carried
+# elimination's copy with the SVD's N x N factors and workspace
+_MATRICES_HELD = 4
+# a carried |Pf(S)| below this leaves its pair, and every pair outside it, to direct Pfaffians
+_CARRY_MIN_PFAFFIAN = 1e-3
 # the parity-even Pauli strings of a site pair (p, q), the identity left out,
 # as 2-site strings whose site 2 is p and site 1 is q, and their 4x4 matrices
 _PAIR_STRINGS = tuple(
@@ -166,77 +177,151 @@ def _ideal_covariance(schedule: MatryoshkaSchedule) -> np.ndarray:
 def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
     """Gamma(t) = R Gamma(0) R^T for the chain ``spec`` from the ``initial`` product state.
 
-    R = e^(At) comes from numpy's ``eigh`` of the Hermitian iA.  The
+    Every term of a chain (XX, YY or Z) pairs an even Majorana with an
+    odd one, so A is zero between two evens or two odds, and with the
+    SVD B = U S V^T of its real N x N block B = A[even, odd], R = e^(At)
+    has the blocks U cos(St) U^T (even, even), U sin(St) V^T (even,
+    odd), -V sin(St) U^T (odd, even) and V cos(St) V^T (odd, odd).  The
+    products are ``einsum``'s own loops, not BLAS, so Gamma does not
+    depend on the BLAS thread count as long as the SVD does not.  The
     size is checked against physical memory before anything is built;
     a non-finite A, R or Gamma raises BellchainError.
     """
     n = spec.n_sites
     _check_memory(
         _MATRICES_HELD * (2 * n) ** 2 * 16,
-        f"the covariance route at {n} sites ({_MATRICES_HELD} complex {2 * n}x{2 * n} matrices)",
+        f"the covariance route at {n} sites "
+        f"({2 * _MATRICES_HELD} real {2 * n}x{2 * n} matrices)",
     )
     a = _generator(build_hamiltonian(spec))
     if not np.isfinite(a).all():
         raise BellchainError(_NOT_FINITE)
-    w, v = np.linalg.eigh(1j * a)
-    r = ((v * np.exp(-1j * w * t)) @ v.conj().T).real
+    if a[0::2, 0::2].any() or a[1::2, 1::2].any():
+        raise ValidationError("the chain couples two even or two odd Majoranas")
+    u, sigma, vt = np.linalg.svd(a[0::2, 1::2])
+    cos, sin = np.cos(sigma * t), np.sin(sigma * t)
+    r = np.empty_like(a)
+    r[0::2, 0::2] = np.einsum("ik,jk->ij", u * cos, u)
+    r[0::2, 1::2] = np.einsum("ik,kj->ij", u * sin, vt)
+    r[1::2, 0::2] = -np.einsum("ki,jk->ij", vt * sin[:, None], u)
+    r[1::2, 1::2] = np.einsum("ki,kj->ij", vt * cos[:, None], vt)
     if not np.isfinite(r).all():
         raise BellchainError(_NOT_FINITE)
     spin = np.zeros(2, dtype=complex)
     spin[int(initial is InitialState.ALL1)] = 1.0
-    gamma = r @ _product_covariance(n, [((s,), spin) for s in range(1, n + 1)]) @ r.T
+    start = _product_covariance(n, [((s,), spin) for s in range(1, n + 1)])
+    gamma = np.einsum("il,jl->ij", np.einsum("ik,kl->il", r, start), r)
     if not np.isfinite(gamma).all():
         raise BellchainError(_NOT_FINITE)
     return (gamma - gamma.T) / 2
 
 
-def _pfaffian(matrix: np.ndarray) -> float:
-    """Pfaffian of a real antisymmetric matrix by Parlett-Reid elimination.
+def _eliminate(a: np.ndarray, k: int, end: int) -> float:
+    """One Parlett-Reid step on the real antisymmetric ``a``, in place; the signed pivot.
 
-    Each step pivots the largest entry of column k below the diagonal
-    into row k + 1 (a swap flips the sign) and eliminates with it; the
-    Pfaffian is the product of the pivots.
+    Swaps the largest entry of column k among rows k + 1 .. end - 1
+    into row k + 1 (a swap flips the sign), then replaces a[k + 2:, k + 2:]
+    by its Schur complement over rows and columns k and k + 1.  A zero
+    pivot returns 0.0 and eliminates nothing.
     """
+    pivot = k + 1 + int(np.argmax(np.abs(a[k + 1:end, k])))
+    sign = 1.0
+    if pivot != k + 1:
+        a[[k + 1, pivot], k:] = a[[pivot, k + 1], k:]
+        a[k:, [k + 1, pivot]] = a[k:, [pivot, k + 1]]
+        sign = -1.0
+    value = a[k, k + 1]
+    if value == 0.0:
+        return 0.0
+    if k + 2 < a.shape[0]:
+        tau = a[k, k + 2:] / value
+        column = a[k + 2:, k + 1]
+        a[k + 2:, k + 2:] += tau[:, None] * column - column[:, None] * tau
+    return sign * value
+
+
+def _pfaffian(matrix: np.ndarray) -> float:
+    """Pfaffian of a real antisymmetric matrix: the product of its Parlett-Reid pivots."""
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if n % 2:
         return 0.0
     pfaffian = 1.0
     for k in range(0, n - 1, 2):
-        pivot = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if pivot != k + 1:
-            a[[k + 1, pivot], k:] = a[[pivot, k + 1], k:]
-            a[k:, [k + 1, pivot]] = a[k:, [pivot, k + 1]]
-            pfaffian = -pfaffian
-        if a[k, k + 1] == 0.0:
+        pivot = _eliminate(a, k, n)
+        if pivot == 0.0:
             return 0.0
-        pfaffian *= a[k, k + 1]
-        if k + 2 < n:
-            tau = a[k, k + 2:] / a[k, k + 1]
-            column = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += tau[:, None] * column - column[:, None] * tau
+        pfaffian *= pivot
     return pfaffian
 
 
-def _expectation(gamma: np.ndarray, string: PauliString) -> float:
+def _carried_borders(gamma: np.ndarray) -> dict[int, tuple[float, np.ndarray]]:
+    """``{p: (Pf(S), C)}`` for the mirror pairs (p, N-p+1) of one carried elimination.
+
+    The strings with X or Y on both sites p and q = N-p+1 have the
+    words l, S, r: l is 2p-2 or 2p-1, r is 2q-2 or 2q-1, and S is every
+    Majorana in between.  S of pair p is S of pair p+1 plus that pair's
+    four border Majoranas, so Gamma is ordered as the central site,
+    then each pair's border 2p-2, 2p-1, 2q-2, 2q-1 from the centre
+    outwards, and eliminated by Parlett-Reid, pivoting within the block
+    being eliminated.  Before pair p's border is eliminated, the
+    running product of pivots is Pf(S) (each step of the order moves an
+    even block past an even block, so no sign) and the trailing 4 x 4 is
+    the Schur complement C of S over the border, so that Pf(l, S, r) =
+    Pf(S) C[l, r].  Every block of Gamma has singular values at most 1,
+    so |Pf(S)|^2 = |det S| bounds S's smallest singular value from
+    below; a pair whose |Pf(S)| falls below ``_CARRY_MIN_PFAFFIAN``, and
+    every pair outside it, is left out, for the direct Pfaffians.
+    """
+    n = gamma.shape[0] // 2
+    centre = (n + 1) // 2
+    order = [2 * centre - 2, 2 * centre - 1]
+    for p in range(centre - 1, 0, -1):
+        q = n + 1 - p
+        order += [2 * p - 2, 2 * p - 1, 2 * q - 2, 2 * q - 1]
+    a = gamma[np.ix_(order, order)]
+    inner = _eliminate(a, 0, 2)
+    borders = {}
+    for p, k in zip(range(centre - 1, 0, -1), range(2, 2 * n, 4)):
+        if abs(inner) < _CARRY_MIN_PFAFFIAN:
+            break
+        borders[p] = (inner, a[k:k + 4, k:k + 4].copy())
+        for step in (k, k + 2):
+            inner *= _eliminate(a, step, k + 4)
+    return borders
+
+
+def _expectation(
+    gamma: np.ndarray, string: PauliString, border: tuple[float, np.ndarray] | None = None
+) -> float:
     """<P> of the Gaussian state with covariance ``gamma``, by Wick's theorem.
 
     With P = phase * c_k1 ... c_k2m, <P> = phase * Pf(-i Gamma_kk) =
     phase * (-i)^m * Pf(Gamma_kk); an odd number of Majoranas gives 0.
+    ``border``, a pair's ``(Pf(S), C)`` from :func:`_carried_borders`,
+    serves a string with X or Y on both sites of that pair, whose word
+    is l, S, r: Pf = Pf(S) C[l, r], with l and r read from the word.
     """
     word, phase = _majorana_word(string)
     if len(word) % 2:
         return 0.0
-    block = gamma[np.ix_(word, word)]
-    return (phase * (-1j) ** (len(word) // 2) * _pfaffian(block)).real
+    if border is None:
+        pfaffian = _pfaffian(gamma[np.ix_(word, word)])
+    else:
+        inner, schur = border
+        pfaffian = inner * schur[word[0] % 2, 2 + word[-1] % 2]
+    return (phase * (-1j) ** (len(word) // 2) * pfaffian).real
 
 
-def _pair_density(gamma: np.ndarray, p: int, q: int) -> np.ndarray:
+def _pair_density(
+    gamma: np.ndarray, p: int, q: int, border: tuple[float, np.ndarray] | None = None
+) -> np.ndarray:
     """The 4x4 density of sites (p, q), p the most significant bit.
 
     The state has a definite Z parity, so the expectations of the nine
     parity-odd letter pairs vanish and the seven parity-even ones, with
-    the identity, give rho = sum <P> P / 4.
+    the identity, give rho = sum <P> P / 4.  XX, XY, YX and YY take the
+    pair's carried ``border`` when given, the rest a direct Pfaffian.
     """
     n = gamma.shape[0] // 2
     mask_p, mask_q = 1 << (p - 1), 1 << (q - 1)
@@ -247,7 +332,7 @@ def _pair_density(gamma: np.ndarray, p: int, q: int) -> np.ndarray:
             (local.x_mask >> 1) * mask_p | (local.x_mask & 1) * mask_q,
             (local.z_mask >> 1) * mask_p | (local.z_mask & 1) * mask_q,
         )
-        rho += _expectation(gamma, string) * matrix / 4
+        rho += _expectation(gamma, string, border if local.x_mask == 3 else None) * matrix / 4
     return rho
 
 
@@ -268,9 +353,10 @@ def verify_free_fermion(
     t = _check_real("time", t)
     schedule = bell_schedule(spec.n_sites, initial)
     gamma = _evolved_covariance(spec, t, InitialState(initial))
+    borders = _carried_borders(gamma)
     reports = []
     for (p, q), label in schedule.pairs:
-        rho = DensityMatrix._trusted((p, q), _pair_density(gamma, p, q))
+        rho = DensityMatrix._trusted((p, q), _pair_density(gamma, p, q, borders.get(p)))
         fidelity = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
         reports.append(PairReport((p, q), label, concurrence(rho), fidelity, purity(rho)))
     central_z = _expectation(gamma, PauliString.single(spec.n_sites, schedule.central_site, "Z"))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import concurrence, purity
+from .analysis import _EIG_CUTOFF, concurrence, purity
 from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
@@ -58,8 +58,14 @@ def bell_state(label: BellLabel) -> np.ndarray:
 
 
 def _mixed_bell_fidelity(b: np.ndarray, rho: np.ndarray) -> float:
-    """sqrt(<b|rho|b>) of a Bell vector against a 4x4 density, clipped at 0."""
-    return float(np.sqrt(max(0.0, np.real(np.vdot(b, rho @ b)))))
+    """sqrt(<b|rho|b>) of a Bell vector against a 4x4 density.
+
+    <b|rho|b> below ``analysis._EIG_CUTOFF`` counts as 0, the noise
+    floor ``concurrence`` applies to its eigenvalues: the root would
+    lift rounding of 1e-16 to 1e-8.
+    """
+    overlap = np.real(np.vdot(b, rho @ b))
+    return float(np.sqrt(overlap)) if overlap >= _EIG_CUTOFF else 0.0
 
 
 def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:

@@ -8,7 +8,9 @@ numbers: a built-in pattern's coupling formula, a spec's ``j_x``,
 ``j_y`` and ``fields_b``, or (weight, letters) pairs.  The module shares
 no code with the package and imports nothing from it, so a common-mode
 bug in the library's couplings, Hamiltonian assembly, bitmask, eigen or
-Krylov routes cannot hide here.  Tests call these routes live.
+Krylov routes cannot hide here.  The Majorana mirror of the
+matryoshka chain at t* is closed form, a signed permutation written
+down from the site numbers.  Tests call these routes live.
 """
 
 from __future__ import annotations
@@ -112,6 +114,34 @@ def t_star_unitary(n: int) -> np.ndarray:
     u = expm(-1j * T_STAR * chain_hamiltonian(*couplings(n)))
     u.setflags(write=False)
     return u
+
+
+def krawtchouk_mirror(n: int) -> np.ndarray:
+    """R = e^(A t*) of the field-free matryoshka chain, as a signed permutation.
+
+    Majorana 2s-2 is X on site s and 2s-1 is Y, each with Z on every
+    site below.  A YY bond on odd bond i joins the X Majorana of site i
+    to the Y Majorana of site i+1, and an XX bond on even bond i the Y
+    Majorana of site i to the X Majorana of site i+1, so the bonds form
+    one path X_1, Y_2, X_3, ..., X_N with the Krawtchouk couplings
+    sqrt(i (N - i)), and the other N Majoranas have no term.  At t* the
+    path is mirrored, times (-1)^((N-1)/2) (Christandl et al., PRL 92,
+    187902 (2004)); the other N stay put.
+    """
+    path = [2 * s - 2 if s % 2 else 2 * s - 1 for s in range(1, n + 1)]
+    r = np.eye(2 * n)
+    r[path, path] = 0.0
+    r[path, path[::-1]] = (-1.0) ** ((n - 1) // 2)
+    return r
+
+
+def product_covariance(n: int, initial: str) -> np.ndarray:
+    """Gamma_kl = i <c_k c_l> of |0...0> or |1...1>: X_s Y_s = i Z_s gives -<Z_s>."""
+    gamma = np.zeros((2 * n, 2 * n))
+    z = 1.0 if initial == "all0" else -1.0
+    for s in range(1, n + 1):
+        gamma[2 * s - 2, 2 * s - 1], gamma[2 * s - 1, 2 * s - 2] = -z, z
+    return gamma
 
 
 def evolve_dense(h: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:

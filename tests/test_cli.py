@@ -318,7 +318,9 @@ def test_linear_algebra_failure_exits_three(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # verify's R comes from an SVD; the eigen engine's from eigh
     monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     assert main(["verify", "--n", "3"]) == 3
     assert "did not converge" in capsys.readouterr().err
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bellchain import (
     ChainSpec,
     HamiltonianTerms,
     InitialState,
+    Pattern,
     PauliString,
     Propagator,
     StateVector,
@@ -16,16 +18,18 @@ from bellchain import (
     build_hamiltonian,
     matryoshka_time,
     verify_free_fermion,
+    verify_matryoshka,
 )
 from bellchain import fermion
 from bellchain.cli import main
 import bellchain.evolve
 from _helpers import random_custom_spec
-from _reference import basis_vec, evolve_dense, letters_dense, nested_amplitudes, rdm
-from _reference import spec_hamiltonian
+from _reference import basis_vec, evolve_dense, krawtchouk_mirror, letters_dense
+from _reference import nested_amplitudes, product_covariance, rdm, spec_hamiltonian
 
 # a time away from t*, where nothing is a Bell pair
 T_OFF = 0.37
+T_STAR = matryoshka_time()
 
 
 def majorana_dense(n: int, k: int) -> np.ndarray:
@@ -86,6 +90,14 @@ def test_terms_that_are_not_majorana_bilinears_are_refused(letters):
     hamiltonian = HamiltonianTerms(3, ((1.0, PauliString.from_letters(letters)),))
     with pytest.raises(ValidationError, match="not a free-fermion model"):
         fermion._generator(hamiltonian)
+
+
+def test_a_coupling_between_two_odd_majoranas_is_refused(monkeypatch):
+    # X_1 Y_2 is the bilinear c_1 c_3, which the SVD of A[even, odd] cannot hold
+    hamiltonian = HamiltonianTerms(3, ((1.0, PauliString.from_letters("XYI")),))
+    monkeypatch.setattr(fermion, "build_hamiltonian", lambda spec: hamiltonian)
+    with pytest.raises(ValidationError, match="two even or two odd Majoranas"):
+        fermion._evolved_covariance(ChainSpec(3), T_OFF, InitialState.ALL0)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -206,3 +218,136 @@ def test_covariance_route_must_fit_in_memory(monkeypatch, capsys):
         assert main(["verify", "--n", "13"]) == code
         if code == 2:
             assert "physical memory" in capsys.readouterr().err
+
+
+def test_krawtchouk_mirror_is_the_route_propagator_at_t_star():
+    # the closed form against e^(A t*) by Pade, for the library's own A
+    for n in range(3, 16, 2):
+        r = scipy.linalg.expm(fermion._generator(build_hamiltonian(ChainSpec(n))) * T_STAR)
+        assert np.max(np.abs(r - krawtchouk_mirror(n))) < 1e-12
+
+
+@pytest.mark.parametrize("initial", ["all0", "all1"])
+def test_krawtchouk_mirror_nests_the_scheduled_bell_pairs(initial):
+    # P Gamma(0) P^T is the schedule's nested-Bell covariance at every odd N to 201,
+    # and the covariance route's Gamma(t*) to 101
+    for n in range(3, 202, 2):
+        p = krawtchouk_mirror(n)
+        mirrored = p @ product_covariance(n, initial) @ p.T
+        ideal = fermion._ideal_covariance(bell_schedule(n, initial))
+        assert np.max(np.abs(mirrored - ideal)) < 1e-12, n
+        if n <= 101:
+            evolved = fermion._evolved_covariance(ChainSpec(n), T_STAR, InitialState(initial))
+            assert np.max(np.abs(mirrored - evolved)) < 1e-12, n
+
+
+def counted_pfaffians(monkeypatch) -> list[int]:
+    """Patch ``fermion._pfaffian`` to record the size of every block it is given."""
+    sizes = []
+    pfaffian = fermion._pfaffian
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return pfaffian(matrix)
+
+    monkeypatch.setattr(fermion, "_pfaffian", counting)
+    return sizes
+
+
+def expected_pfaffians(n: int, carried) -> list[int]:
+    """Block sizes of one report: Z_p, Z_q and Z_p Z_q per pair, the four strings with
+    X or Y on both sites unless carried, then the central Z and the global overlap."""
+    sizes = []
+    for p in range(1, (n - 1) // 2 + 1):
+        sizes += [2, 2, 4] + ([2 * (n + 1 - 2 * p)] * 4 if p not in carried else [])
+    return sorted(sizes + [2, 2 * n])
+
+
+def assert_densities_match_direct(gamma, borders):
+    """Every mirror pair's density, carried or not, against its seven direct Pfaffians."""
+    n = gamma.shape[0] // 2
+    for p in range(1, (n - 1) // 2 + 1):
+        q = n + 1 - p
+        carried = fermion._pair_density(gamma, p, q, borders.get(p))
+        assert np.max(np.abs(carried - fermion._pair_density(gamma, p, q))) < 1e-12, p
+
+
+@pytest.mark.parametrize("n", [13, 51, 101])
+@pytest.mark.parametrize("fields", [False, True])
+def test_carried_elimination_serves_every_pair_at_t_star(monkeypatch, n, fields):
+    small = tuple(np.random.default_rng(n).uniform(-3e-3, 3e-3, size=n))
+    spec = ChainSpec(n, fields_b=small) if fields else ChainSpec(n)
+    gamma = fermion._evolved_covariance(spec, matryoshka_time(), InitialState.ALL0)
+    borders = fermion._carried_borders(gamma)
+    assert sorted(borders) == list(range(1, (n - 1) // 2 + 1))
+    if not fields:  # each inner block is a Z string of a Z-basis product state
+        assert all(abs(abs(inner) - 1.0) < 1e-12 for inner, _ in borders.values())
+    assert_densities_match_direct(gamma, borders)
+    sizes = counted_pfaffians(monkeypatch)
+    verify_free_fermion(spec, matryoshka_time())
+    assert sorted(sizes) == expected_pfaffians(n, borders)
+
+
+@pytest.mark.parametrize("n", [13, 51, 101])
+def test_carried_elimination_falls_back_where_the_inner_block_is_small(monkeypatch, n):
+    # away from t* each inner Z string decays with its length; from the first pair,
+    # counted from the centre, whose |Pf(S)| is below the threshold, every pair is direct
+    spec = asymmetric_spec(np.random.default_rng(n), n)
+    gamma = fermion._evolved_covariance(spec, T_OFF, InitialState.ALL1)
+    borders = fermion._carried_borders(gamma)
+    pairs = range(1, (n - 1) // 2 + 1)
+    inner = {p: fermion._pfaffian(gamma[2 * p:2 * (n - p), 2 * p:2 * (n - p)]) for p in pairs}
+    small = [p for p in pairs if abs(inner[p]) < fermion._CARRY_MIN_PFAFFIAN]
+    assert small, "no pair falls back"
+    assert sorted(borders) == [p for p in pairs if p > max(small)]
+    for p, (carried, _) in borders.items():
+        assert carried == pytest.approx(inner[p], rel=1e-12)
+    assert_densities_match_direct(gamma, borders)
+    sizes = counted_pfaffians(monkeypatch)
+    verify_free_fermion(spec, T_OFF, "all1")
+    assert sorted(sizes) == expected_pfaffians(n, borders)
+
+
+@pytest.mark.parametrize("site", ["central", "inner"])
+def test_carried_elimination_falls_back_on_a_singular_inner_block(site):
+    # a pure Gaussian state whose Majorana m pairs with X_1 alone: every inner
+    # block that holds m has a zero row, so it and every pair outside it go direct
+    n = 11
+    centre = (n + 1) // 2
+    m = 2 * centre - 2 if site == "central" else 2 * centre - 4
+    rest = [k for k in range(1, 2 * n) if k != m]
+    paired = np.zeros((2 * n, 2 * n))
+    paired[m, 0], paired[0, m] = 1.0, -1.0
+    for k, l in zip(rest[0::2], rest[1::2]):
+        paired[k, l], paired[l, k] = 1.0, -1.0
+    rotation = np.eye(2 * n)
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(2 * n - 2,) * 2))
+    rotation[np.ix_(rest, rest)] = q
+    gamma = rotation @ paired @ rotation.T
+    assert np.max(np.abs(gamma @ gamma + np.eye(2 * n))) < 1e-12
+    borders = fermion._carried_borders(gamma)
+    assert sorted(borders) == ([] if site == "central" else [centre - 1])
+    assert_densities_match_direct(gamma, borders)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_perfect_transfer_bell_fidelity_is_zero_on_both_routes(tmp_path, capsys, n):
+    # at t* no mirror pair of the perfect-transfer chain overlaps its scheduled Bell
+    # state: <b|rho|b> is rounding on the covariance route and exactly 0 on the state
+    # route, and below the concurrence cutoff both report 0.0
+    docs = {}
+    for command in ("verify", "generate"):
+        out = tmp_path / f"{command}.json"
+        main([command, "--n", str(n), "--pattern", "perfect-transfer", "--out", str(out)])
+        docs[command] = json.loads(out.read_text())["verification"]
+    capsys.readouterr()
+    for doc in docs.values():
+        assert doc["pairs"][0]["sites"] == [1, n]
+        assert [pair["bell_fidelity"] for pair in doc["pairs"]] == [0.0] * ((n - 1) // 2)
+    for fast, state in zip(docs["verify"]["pairs"], docs["generate"]["pairs"]):
+        for key in ("concurrence", "purity"):
+            assert fast[key] == pytest.approx(state[key], abs=1e-12)
+    spec = ChainSpec(n, pattern=Pattern.PERFECT_TRANSFER)
+    state = StateVector(evolved_state(spec, matryoshka_time(), "all0", "eigen"))
+    routes = (verify_free_fermion(spec, T_STAR), verify_matryoshka(state, bell_schedule(n)))
+    assert [r.pair_reports[0].bell_fidelity for r in routes] == [0.0, 0.0]

@@ -63,6 +63,15 @@ def test_closest_bell_on_vectors():
     assert fidelity == pytest.approx(1.0)
 
 
+def test_bell_fidelity_counts_overlaps_below_the_concurrence_cutoff_as_zero():
+    # rho = (1 - e) |phi+><phi+| + e |psi+><psi+|, so <psi+|rho|psi+> = e
+    phi, psi = bell_state(BellLabel.PHI_PLUS), bell_state(BellLabel.PSI_PLUS)
+    for overlap, fidelity in ((1e-13, 0.0), (4e-12, 2e-6)):
+        rho = (1 - overlap) * np.outer(phi, phi.conj()) + overlap * np.outer(psi, psi.conj())
+        reported = bellchain.matryoshka._mixed_bell_fidelity(psi, rho)
+        assert reported == pytest.approx(fidelity, rel=1e-9)
+
+
 def test_closest_bell_on_density_matrix():
     vec = bell_state(BellLabel.PSI_PLUS)
     label, fidelity = closest_bell(np.outer(vec, vec.conj()))
