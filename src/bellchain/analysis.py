@@ -1,8 +1,15 @@
-"""Entanglement measures, fidelities, and the field-robustness study.
+"""Fidelities and the field-robustness study.
 
 The robustness study perturbs the three-site chain with local Z fields
 expressed as ratios of the first-bond coupling J_Y1 = lam * sqrt(2),
-evolves for t*, and compares against the unperturbed result.
+evolves |000> for t*, and compares against the unperturbed result.  It
+runs on the Majorana covariance route of :mod:`bellchain.fermion`: one
+6x6 covariance Gamma(t*) per grid point, and the overlap of two such
+Gaussian states from the Pfaffian of their mean, the helper that also
+gives ``verify`` its global fidelity.  No state is built.
+
+``purity`` and ``concurrence`` live with the reduced densities in
+:mod:`bellchain.pauli` and are re-exported here, their public home.
 """
 
 from __future__ import annotations
@@ -13,52 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, Pattern, build_hamiltonian
+from .chain import ChainSpec, Pattern
 from .errors import ValidationError
-from .evolve import Propagator, matryoshka_time
-from .pauli import DensityMatrix, StateVector, _check_density, _check_int, _check_real
+from .evolve import matryoshka_time
+from .fermion import _evolved_covariance, _gaussian_fidelity
+from .matryoshka import InitialState
+from .pauli import StateVector, _check_int, _check_real
+from .pauli import concurrence, purity  # re-exported: their public home
 
 # Hardware-motivated operating point for the three-site robustness
 # study: per-site field strengths over the first-bond coupling.
 REFERENCE_FIELD_RATIOS = (7.8 / 270.0, 19.6 / 270.0, 12.6 / 270.0)
-
-_EIG_CUTOFF = 1e-12
-
-
-def _density_array(rho: DensityMatrix | np.ndarray, dim: int | None = None) -> np.ndarray:
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else _check_density(rho)
-    if dim is not None and mat.shape != (dim, dim):
-        raise ValidationError(f"expected a {dim}x{dim} density matrix, got {mat.shape}")
-    return mat
-
-
-def purity(rho: DensityMatrix | np.ndarray) -> float:
-    """tr(rho^2): 1 for pure states, 1/2^k for maximally mixed ones."""
-    mat = _density_array(rho)
-    return float(np.real(np.trace(mat @ mat)))
-
-
-def concurrence(rho: DensityMatrix | np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
-
-    Square-rooted eigenvalues of rho (Y x Y) rho* (Y x Y) are sorted
-    descending and combined as max(0, l1 - l2 - l3 - l4).  Eigenvalues
-    below 1e-12 are treated as exact zeros before the square root;
-    otherwise rounding noise in near-pure inputs is amplified to the
-    1e-8 scale by the root.  Small eigenvalues above the cutoff still
-    pass through the root, so a concurrence near 1 is ill-conditioned:
-    states within 5e-16 of each other gave concurrences 1.9e-12 apart.
-    Compare two routes by their states, not by their concurrences.
-    """
-    mat = _density_array(rho, dim=4)
-    yy = np.zeros((4, 4), dtype=complex)
-    yy[0, 3] = yy[3, 0] = -1.0
-    yy[1, 2] = yy[2, 1] = 1.0
-    spun = mat @ yy @ mat.conj() @ yy
-    eigenvalues = np.real(np.linalg.eigvals(spun))
-    eigenvalues[eigenvalues < _EIG_CUTOFF] = 0.0
-    roots = np.sqrt(np.sort(eigenvalues)[::-1])
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
@@ -82,11 +54,6 @@ class SweepResult:
         return float(np.mean([row[2] for row in self.grid]))
 
 
-def _evolve_zero_state(spec: ChainSpec, t: float) -> StateVector:
-    """|0..0> evolved for t under the chain ``spec`` describes."""
-    return Propagator(build_hamiltonian(spec)).evolve(StateVector.zero_state(spec.n_sites), t)
-
-
 def field_sweep(
     base: ChainSpec,
     grid_points: int = 21,
@@ -97,7 +64,9 @@ def field_sweep(
 
     The reference state is the unperturbed evolution of |000> for t*,
     so the origin fidelity is 1 by construction.  Slices come back
-    sorted by b3 ratio, each a grid_points x grid_points surface.
+    sorted by b3 ratio, each a grid_points x grid_points surface.  Each
+    point is the overlap of two Gaussian states, sqrt|Pf((Gamma_ref +
+    Gamma)/2)|, from one covariance Gamma(t*) per point.
     """
     if base.n_sites != 3:
         raise ValidationError("the field study is defined on the three-site chain")
@@ -113,21 +82,19 @@ def field_sweep(
         raise ValidationError("need at least one b3 ratio")
     if any(not 0.0 <= b <= 0.1 for b in ratios_b3):
         raise ValidationError("b3 ratios must lie in [0, 0.1]")
-    if t_star is None:
-        t_star = matryoshka_time(base.lam)
+    t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
     axis = tuple(np.linspace(0.0, 0.1, grid_points))
     j_edge = base.lam * math.sqrt(base.n_sites - 1)
-    reference = _evolve_zero_state(base, t_star)
+    reference = _evolved_covariance(base, t_star, InitialState.ALL0)
     results = []
     for b3 in sorted(ratios_b3):
         rows = []
         for b1 in axis:
             for b2 in axis:
                 fields = tuple(r * j_edge for r in (b1, b2, b3))
-                evolved = _evolve_zero_state(
-                    ChainSpec(base.n_sites, base.lam, base.pattern, fields), t_star
-                )
-                rows.append((float(b1), float(b2), state_fidelity(reference, evolved)))
+                spec = ChainSpec(base.n_sites, base.lam, base.pattern, fields)
+                evolved = _evolved_covariance(spec, t_star, InitialState.ALL0)
+                rows.append((float(b1), float(b2), _gaussian_fidelity(reference, evolved)))
         results.append(SweepResult(b3, tuple(rows), min(row[2] for row in rows)))
     return results
 
@@ -165,14 +132,17 @@ def reference_point_fidelity(
 
     Builds the three-site chain with fields at ``scale`` times the
     REFERENCE_FIELD_RATIOS of the first-bond coupling and returns the
-    overlap with the unperturbed evolution.
+    overlap with the unperturbed evolution, both on the covariance route
+    as in :func:`field_sweep`.
     """
     scale = _check_real("field scale", scale)
     if scale < 0:
         raise ValidationError("field scale must be nonnegative")
     base = ChainSpec(3, lam)
-    if t_star is None:
-        t_star = matryoshka_time(base.lam)
+    t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
     j_edge = base.lam * math.sqrt(2.0)
     perturbed = replace(base, fields_b=tuple(scale * r * j_edge for r in REFERENCE_FIELD_RATIOS))
-    return state_fidelity(_evolve_zero_state(base, t_star), _evolve_zero_state(perturbed, t_star))
+    return _gaussian_fidelity(
+        _evolved_covariance(base, t_star, InitialState.ALL0),
+        _evolved_covariance(perturbed, t_star, InitialState.ALL0),
+    )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pauli import PauliString, _check_chain_length, _check_int, _check_real, _check_reals
-from .pauli import _mask_action, _parse_reals
+from .pauli import _mask_action, _parse_reals, _shown
 
 
 class Pattern(enum.Enum):
@@ -58,9 +58,11 @@ class ChainSpec:
     """Everything needed to build one chain Hamiltonian.
 
     ``fields_b`` lists the absolute Z-field strength per site, in the
-    same units as the couplings; an empty tuple means no fields.  For
-    the CUSTOM pattern supply explicit ``j_x`` and ``j_y`` arrays of
-    length N - 1 (``lam`` is ignored there).
+    same units as the couplings; an empty tuple means no fields.
+    ``pattern`` is a :class:`Pattern` or its value, such as
+    ``"perfect-transfer"``.  For the CUSTOM pattern supply explicit
+    ``j_x`` and ``j_y`` arrays of length N - 1 (``lam`` is ignored
+    there).
     """
 
     n_sites: int
@@ -81,6 +83,10 @@ class ChainSpec:
         if len(fields) != n:
             raise ValidationError(f"fields_b must have length {n}, got {len(fields)}")
         object.__setattr__(self, "fields_b", fields)
+        try:
+            object.__setattr__(self, "pattern", Pattern(self.pattern))
+        except ValueError:
+            raise ValidationError(f"unknown coupling pattern {_shown(self.pattern)}") from None
         if self.pattern is Pattern.CUSTOM:
             if self.j_x is None or self.j_y is None:
                 raise ValidationError("custom pattern requires explicit j_x and j_y arrays")

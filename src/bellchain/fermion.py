@@ -1,4 +1,4 @@
-"""Verification of the nested-Bell state through Majorana covariances.
+"""Majorana covariances: the nested-Bell verification and the field study's overlaps.
 
 The Jordan-Wigner transform maps site j to two Majorana operators,
 c_(2j-1) = Z_1...Z_(j-1) X_j and c_(2j) = Z_1...Z_(j-1) Y_j (indices
@@ -17,7 +17,13 @@ The verification needs the seven parity-even two-site Pauli
 expectations of each mirror pair, which give its 4x4 density, Z on the
 central site, and the overlap with the ideal nested-Bell state, which
 for two pure Gaussian states is |<a|b>|^2 = |Pf((Gamma_a + Gamma_b)/2)|
-(Terhal & DiVincenzo, PRA 65, 032325 (2002)).  Pfaffians come from
+(Terhal & DiVincenzo, PRA 65, 032325 (2002)); the same overlap gives
+the field study of :mod:`bellchain.analysis` its fidelities, one 6x6
+covariance per grid point.  The set-up is closed form: the Majorana
+word of a Pauli string follows from its masks by bit operations, Gamma(0)
+of a Z-basis product state is -<Z_s> on each site's two Majoranas, and
+Gamma of the ideal state follows from each pair's Bell correlators and
+the +-1 Z values of the pairs inside it.  Pfaffians come from
 Parlett-Reid elimination (Wimmer, ACM TOMS 38, 30 (2012)).  The four
 long strings of the mirror pairs, X or Y on both sites, share their
 inner blocks, which nest from the centre outwards, so one elimination
@@ -33,16 +39,15 @@ memory, not by 2^N amplitudes.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
-from .analysis import concurrence, purity
 from .chain import ChainSpec, HamiltonianTerms, build_hamiltonian
 from .errors import BellchainError, ValidationError
 from .evolve import _NOT_FINITE, _check_memory
 from .matryoshka import (
     _BELL_TABLE,
+    BellLabel,
     InitialState,
     MatryoshkaSchedule,
     PairReport,
@@ -50,11 +55,11 @@ from .matryoshka import (
     _mixed_bell_fidelity,
     bell_schedule,
 )
-from .pauli import DensityMatrix, PauliString, _check_real, _mask_action
+from .pauli import _PHASES, DensityMatrix, PauliString, _check_real, concurrence, purity
 
 # the route's memory in 2N x 2N matrices of 16 bytes an entry, each the room of two
-# real ones: A and R, Gamma(0) and R Gamma(0), Gamma and its transpose, and the carried
-# elimination's copy with the SVD's N x N factors and workspace
+# real ones: A and R, O E^T and its transpose, Gamma, and the carried elimination's
+# copy with the SVD's N x N factors and workspace
 _MATRICES_HELD = 4
 # a carried |Pf(S)| below this leaves its pair, and every pair outside it, to direct Pfaffians
 _CARRY_MIN_PFAFFIAN = 1e-3
@@ -67,43 +72,33 @@ _PAIR_STRINGS = tuple(
 _PAIR_MATRICES = tuple(string.dense() for string in _PAIR_STRINGS)
 
 
-@functools.lru_cache(maxsize=4)
-def _majoranas(n_sites: int) -> tuple[PauliString, ...]:
-    """c_0 ... c_(2N-1) as Pauli strings.
-
-    c_k is X (k even) or Y (k odd) on site k // 2 + 1, with Z on every
-    site below it.
-    """
-    return tuple(
-        PauliString(n_sites, 1 << k // 2, (1 << k // 2 + (k & 1)) - 1) for k in range(2 * n_sites)
-    )
-
-
+@functools.lru_cache(maxsize=1024)
 def _majorana_word(string: PauliString) -> tuple[tuple[int, ...], complex]:
     """``(k, phase)`` with ``string`` = phase * c_k[0] c_k[1] ..., k ascending.
 
-    The Majoranas are found by solving the string's X/Z masks over
-    GF(2) in the Majorana basis: with a_j and b_j marking c_(2j-1) and
-    c_(2j), x_j = a_j + b_j and z_j = b_j + x_(j+1) + ... + x_N, solved
-    from site N down.  The phase compares the string's action on
-    |0...0> with the product's, both from ``_mask_action``.
+    With a_j and b_j marking c_(2j-1) and c_(2j) in the word, the
+    string's masks are x_j = a_j + b_j and z_j = b_j + x_(j+1) + ... +
+    x_N over GF(2), so b is z plus the parities of x above each site, a
+    scan of log2(N) shifts of the mask.  Applied to |0...0> from the
+    last Majorana down, each c_k finds every site below its own still
+    0, so the product sends |0...0> to i^(number of b) |x>; the string
+    sends it to i^(number of Y) |x>, and the phase is their ratio.
+    Words are kept for the last 1024 strings: a chain's terms recur in
+    every covariance built for it, such as each point of a field sweep.
     """
-    n = string.n_sites
-    word = []
-    x_above = 0
-    for site in range(n - 1, -1, -1):
-        x = string.x_mask >> site & 1
-        b = (string.z_mask >> site & 1) ^ x_above
-        word += [2 * site + 1] * b + [2 * site] * (x ^ b)
-        x_above ^= x
-    word.reverse()
-    majoranas = _majoranas(n)
-    row, product = 0, 1.0 + 0.0j
-    for k in reversed(word):
-        row, value = _mask_action(majoranas[k], row)
-        product *= value
-    _, own = _mask_action(string, 0)
-    return tuple(word), own / product
+    x, z = string.x_mask, string.z_mask
+    above = x >> 1
+    shift = 1
+    while shift < string.n_sites:
+        above ^= above >> shift
+        shift <<= 1
+    b = z ^ above
+    a = x ^ b
+    size = (string.n_sites + 7) // 8
+    masks = np.frombuffer(a.to_bytes(size, "little") + b.to_bytes(size, "little"), np.uint8)
+    # rows a and b of the bits, read column by column: c_(2j-1) before c_(2j)
+    word = np.flatnonzero(np.unpackbits(masks, bitorder="little").reshape(2, -1).T)
+    return tuple(word.tolist()), _PHASES[((x & z).bit_count() - b.bit_count()) % 4]
 
 
 def _generator(hamiltonian: HamiltonianTerms) -> np.ndarray:
@@ -128,50 +123,37 @@ def _generator(hamiltonian: HamiltonianTerms) -> np.ndarray:
     return a
 
 
-def _product_covariance(n_sites: int, factors) -> np.ndarray:
-    """Gamma of a product state: ``factors`` are ``(sites, amplitudes)`` covering the chain.
-
-    Each factor lists its sites in ascending order, the first the most
-    significant bit of its amplitudes.  Majoranas of different factors
-    do not correlate, since c_k c_l then carries a lone X or Y on a site
-    of each, so only the blocks within a factor are filled.  Each entry
-    is the product over the factors of the local expectations of the
-    Pauli string of c_k c_l.
-    """
-    @functools.cache
-    def local_value(f: int, x: int, z: int) -> complex:
-        """<P> of factor f for the local string with masks x, z (site 1 its last site)."""
-        amps = factors[f][1]
-        rows, values = _mask_action(PauliString(len(factors[f][0]), x, z), np.arange(amps.size))
-        return complex(np.vdot(amps[rows], values * amps))
-
-    def local(mask: int, sites) -> int:
-        return sum((mask >> (s - 1) & 1) << (len(sites) - 1 - i) for i, s in enumerate(sites))
-
-    site_masks = [sum(1 << (s - 1) for s in sites) for sites, _ in factors]
-    majoranas = _majoranas(n_sites)
-    gamma = np.zeros((2 * n_sites,) * 2)
-    for sites, _ in factors:
-        ks = [2 * (s - 1) + half for s in sites for half in (0, 1)]
-        for k, l in itertools.combinations(ks, 2):
-            x = majoranas[k].x_mask ^ majoranas[l].x_mask
-            z = majoranas[k].z_mask ^ majoranas[l].z_mask
-            _, phase = _majorana_word(PauliString(n_sites, x, z))  # c_k c_l = string / phase
-            value = 1.0 + 0.0j
-            for f, (other, _) in enumerate(factors):
-                if (x | z) & site_masks[f]:  # a factor the string leaves alone contributes 1
-                    value *= local_value(f, local(x, other), local(z, other))
-            gamma[k, l] = (1j * value / phase).real
-            gamma[l, k] = -gamma[k, l]
-    return gamma
+@functools.cache
+def _bell_correlators(label: BellLabel) -> tuple[float, ...]:
+    """<P> in the Bell state ``label`` for each of ``_PAIR_STRINGS``: ZI, IZ, ZZ, XX, XY, YX, YY."""
+    b = _BELL_TABLE[label]
+    return tuple(float(np.vdot(b, matrix @ b).real) for matrix in _PAIR_MATRICES)
 
 
 def _ideal_covariance(schedule: MatryoshkaSchedule) -> np.ndarray:
-    """Gamma of the scheduled Bell pairs times the central spin."""
-    central = np.zeros(2, dtype=complex)
-    central[schedule.central_value] = 1.0
-    factors = [((p, q), _BELL_TABLE[label]) for (p, q), label in schedule.pairs]
-    return _product_covariance(schedule.n_sites, factors + [((schedule.central_site,), central)])
+    """Gamma of the scheduled Bell pairs times the central spin, in closed form.
+
+    Majoranas of different factors do not correlate, since c_k c_l then
+    leaves a lone X or Y on a site of each, and every factor has a
+    definite Z parity.  On one site, c_(2s-1) c_(2s) = i Z_s gives
+    -<Z_s>.  For sites p < q of a pair, c_k c_l = (A Z)_p Z_(p+1) ...
+    Z_(q-1) B_q, with A and B the X or Y of c_k and c_l.  The sites in
+    between hold the central spin and the pairs inside, each an
+    eigenstate of its Z string, so the middle string is the product zeta
+    of their +-1 values, and XZ = -iY, YZ = iX leave the block
+    zeta [[<YX>, <YY>], [-<XX>, -<XY>]] on (c_(2p-1), c_(2p)) x (c_(2q-1), c_(2q)).
+    """
+    n, centre = schedule.n_sites, schedule.central_site
+    gamma = np.zeros((2 * n, 2 * n))
+    zeta = 1.0 - 2.0 * schedule.central_value
+    gamma[2 * centre - 2, 2 * centre - 1] = -zeta
+    for (p, q), label in sorted(schedule.pairs, key=lambda pair: pair[0], reverse=True):
+        z_p, z_q, zz, xx, xy, yx, yy = _bell_correlators(label)
+        gamma[2 * p - 2, 2 * p - 1] = -z_p
+        gamma[2 * q - 2, 2 * q - 1] = -z_q
+        gamma[2 * p - 2:2 * p, 2 * q - 2:2 * q] = zeta * np.array([[yx, yy], [-xx, -xy]])
+        zeta *= zz
+    return gamma - gamma.T
 
 
 def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
@@ -182,7 +164,11 @@ def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.
     SVD B = U S V^T of its real N x N block B = A[even, odd], R = e^(At)
     has the blocks U cos(St) U^T (even, even), U sin(St) V^T (even,
     odd), -V sin(St) U^T (odd, even) and V cos(St) V^T (odd, odd).  The
-    products are ``einsum``'s own loops, not BLAS, so Gamma does not
+    product state's Gamma(0) holds -<Z_s> = -z at (c_(2s-1), c_(2s)), z
+    at (c_(2s), c_(2s-1)) and 0 elsewhere, so with E and O the columns
+    of R that belong to the c_(2s-1) and to the c_(2s), R Gamma(0) R^T
+    = z (O E^T - E O^T).
+    The products are ``einsum``'s own loops, not BLAS, so Gamma does not
     depend on the BLAS thread count as long as the SVD does not.  The
     size is checked against physical memory before anything is built;
     a non-finite A, R or Gamma raises BellchainError.
@@ -207,13 +193,12 @@ def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.
     r[1::2, 1::2] = np.einsum("ki,kj->ij", vt * cos[:, None], vt)
     if not np.isfinite(r).all():
         raise BellchainError(_NOT_FINITE)
-    spin = np.zeros(2, dtype=complex)
-    spin[int(initial is InitialState.ALL1)] = 1.0
-    start = _product_covariance(n, [((s,), spin) for s in range(1, n + 1)])
-    gamma = np.einsum("il,jl->ij", np.einsum("ik,kl->il", r, start), r)
+    z = -1.0 if initial is InitialState.ALL1 else 1.0
+    odd_even = np.einsum("ik,jk->ij", r[:, 1::2], r[:, 0::2])
+    gamma = z * (odd_even - odd_even.T)
     if not np.isfinite(gamma).all():
         raise BellchainError(_NOT_FINITE)
-    return (gamma - gamma.T) / 2
+    return gamma
 
 
 def _eliminate(a: np.ndarray, k: int, end: int) -> float:
@@ -227,8 +212,10 @@ def _eliminate(a: np.ndarray, k: int, end: int) -> float:
     pivot = k + 1 + int(np.argmax(np.abs(a[k + 1:end, k])))
     sign = 1.0
     if pivot != k + 1:
-        a[[k + 1, pivot], k:] = a[[pivot, k + 1], k:]
-        a[k:, [k + 1, pivot]] = a[k:, [pivot, k + 1]]
+        for view in (a, a.T):  # the rows, then the columns
+            row = view[k + 1, k:].copy()
+            view[k + 1, k:] = view[pivot, k:]
+            view[pivot, k:] = row
         sign = -1.0
     value = a[k, k + 1]
     if value == 0.0:
@@ -241,18 +228,26 @@ def _eliminate(a: np.ndarray, k: int, end: int) -> float:
 
 
 def _pfaffian(matrix: np.ndarray) -> float:
-    """Pfaffian of a real antisymmetric matrix: the product of its Parlett-Reid pivots."""
+    """Pfaffian of a real antisymmetric matrix: the product of its Parlett-Reid pivots.
+
+    The last 2 x 2 block is its own pivot, so it is read, not eliminated.
+    """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if n % 2:
         return 0.0
     pfaffian = 1.0
-    for k in range(0, n - 1, 2):
+    for k in range(0, n - 2, 2):
         pivot = _eliminate(a, k, n)
         if pivot == 0.0:
             return 0.0
         pfaffian *= pivot
-    return pfaffian
+    return pfaffian * a[n - 2, n - 1] if n else pfaffian
+
+
+def _gaussian_fidelity(gamma_a: np.ndarray, gamma_b: np.ndarray) -> float:
+    """|<a|b>| of two pure Gaussian states: sqrt|Pf((Gamma_a + Gamma_b)/2)|."""
+    return float(np.sqrt(abs(_pfaffian((gamma_a + gamma_b) / 2))))
 
 
 def _carried_borders(gamma: np.ndarray) -> dict[int, tuple[float, np.ndarray]]:
@@ -360,11 +355,10 @@ def verify_free_fermion(
         fidelity = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
         reports.append(PairReport((p, q), label, concurrence(rho), fidelity, purity(rho)))
     central_z = _expectation(gamma, PauliString.single(spec.n_sites, schedule.central_site, "Z"))
-    overlap = _pfaffian((_ideal_covariance(schedule) + gamma) / 2)
     return VerificationReport(
         schedule,
         tuple(reports),
         (1.0 + central_z**2) / 2,
         central_z,
-        float(np.sqrt(abs(overlap))),
+        _gaussian_fidelity(_ideal_covariance(schedule), gamma),
     )

@@ -16,12 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import _EIG_CUTOFF, concurrence, purity
 from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
-from .pauli import _TIE_TOL, PauliString, StateVector, _check_chain_length, _check_int
-from .pauli import _check_site, _complex_array, _mask_action, reduced_density
+from .pauli import _EIG_CUTOFF, _TIE_TOL, PauliString, StateVector, _check_chain_length, _check_int
+from .pauli import _check_site, _complex_array, _mask_action, concurrence, purity, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 
@@ -60,12 +59,12 @@ def bell_state(label: BellLabel) -> np.ndarray:
 def _mixed_bell_fidelity(b: np.ndarray, rho: np.ndarray) -> float:
     """sqrt(<b|rho|b>) of a Bell vector against a 4x4 density.
 
-    <b|rho|b> below ``analysis._EIG_CUTOFF`` counts as 0, the noise
-    floor ``concurrence`` applies to its eigenvalues: the root would
-    lift rounding of 1e-16 to 1e-8.
+    <b|rho|b> below ``pauli._EIG_CUTOFF`` counts as 0, the noise floor
+    ``concurrence`` applies to its eigenvalues: the root would lift
+    rounding of 1e-16 to 1e-8.  Rounding above 1 is clipped to 1.
     """
     overlap = np.real(np.vdot(b, rho @ b))
-    return float(np.sqrt(overlap)) if overlap >= _EIG_CUTOFF else 0.0
+    return min(1.0, float(np.sqrt(overlap))) if overlap >= _EIG_CUTOFF else 0.0
 
 
 def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:

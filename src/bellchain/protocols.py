@@ -8,13 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import concurrence, purity
 from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
 from .pauli import _TIE_TOL, DensityMatrix, StateVector, _check_int, _check_real, _partial_trace
-from .pauli import gate_apply, reduced_density
+from .pauli import concurrence, gate_apply, purity, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6

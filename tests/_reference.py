@@ -144,6 +144,23 @@ def product_covariance(n: int, initial: str) -> np.ndarray:
     return gamma
 
 
+def majorana_dense(n: int, k: int) -> np.ndarray:
+    """c_k from its letters: Z below site k // 2 + 1, X (k even) or Y (k odd) on it."""
+    site = k // 2 + 1
+    return letters_dense("Z" * (site - 1) + "XY"[k % 2] + "I" * (n - site))
+
+
+def covariance_ref(vec: np.ndarray, n: int) -> np.ndarray:
+    """Gamma_kl = i <c_k c_l> (k != l) of a state vector: <c_k c_l> = (c_k v)^dagger (c_l v)."""
+    applied = [majorana_dense(n, k) @ vec for k in range(2 * n)]
+    gamma = np.zeros((2 * n, 2 * n))
+    for k in range(2 * n):
+        for l in range(2 * n):
+            if k != l:
+                gamma[k, l] = (1j * np.vdot(applied[k], applied[l])).real
+    return gamma
+
+
 def evolve_dense(h: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
     return expm(-1j * t * h) @ vec
 

@@ -23,6 +23,7 @@ from _reference import (
     basis_vec,
     chain_hamiltonian,
     couplings,
+    covariance_ref,
     evolve_dense,
     reference_point_ref,
     sweep_minima_ref,
@@ -37,6 +38,13 @@ def bell_rho(label: BellLabel) -> np.ndarray:
 def test_purity_bounds():
     assert purity(bell_rho(BellLabel.PSI_PLUS)) == pytest.approx(1.0)
     assert purity(np.eye(4, dtype=complex) / 4) == pytest.approx(0.25)
+
+
+def test_purity_clips_rounding_above_one():
+    # a trace within the 1e-12 tolerance above 1 gives a purity just above 1
+    rho = np.diag([1.0 + 1e-13, 0.0, 0.0, 0.0])
+    assert purity(rho) == 1.0
+    assert purity(np.diag([0.5, 0.5])) == pytest.approx(0.5)
 
 
 def test_purity_rejects_empty_matrix():
@@ -138,24 +146,27 @@ def test_sweep_minima_match_oracle():
 
 def test_study_places_each_field_on_its_site(monkeypatch):
     # a fidelity from |000> cannot see a mirrored field layout (a mirror and a
-    # quarter turn about z map the chain onto itself), so the evolved states the
-    # study compares are checked against the reference amplitude by amplitude
+    # quarter turn about z map the chain onto itself), so every covariance the
+    # study compares, its reference included, is checked entry by entry against
+    # the covariance of the Kronecker-evolved state
     compared = []
+    fidelity = bellchain.analysis._gaussian_fidelity
 
     def recording(reference, perturbed):
-        compared.append(perturbed.amplitudes)
-        return state_fidelity(reference, perturbed)
+        compared.append((reference, perturbed))
+        return fidelity(reference, perturbed)
 
-    monkeypatch.setattr(bellchain.analysis, "state_fidelity", recording)
+    monkeypatch.setattr(bellchain.analysis, "_gaussian_fidelity", recording)
     results = field_sweep(ChainSpec(3, 2.0), grid_points=3, b3_ratios=(0.0, 0.1), t_star=0.3)
     reference_point_fidelity(1.3, 2.0, 0.3)
     points = [(b1, b2, r.b3_ratio) for r in results for b1, b2, _ in r.grid]
     points.append(tuple(1.3 * r for r in REFERENCE_FIELD_RATIOS))
     assert len(compared) == len(points)
-    for ratios, actual in zip(points, compared):
-        fields = tuple(r * 2.0 * np.sqrt(2.0) for r in ratios)
-        expected = evolve_dense(chain_hamiltonian(*couplings(3, 2.0), fields), basis_vec(3, 0), 0.3)
-        assert np.max(np.abs(actual - expected)) < 1e-12, ratios
+    for ratios, pair in zip(points, compared):
+        for gamma, at in zip(pair, ((0.0, 0.0, 0.0), ratios)):
+            fields = tuple(r * 2.0 * np.sqrt(2.0) for r in at)
+            vec = evolve_dense(chain_hamiltonian(*couplings(3, 2.0), fields), basis_vec(3, 0), 0.3)
+            assert np.max(np.abs(gamma - covariance_ref(vec, 3))) < 1e-12, at
 
 
 def _dense_fidelity(lam: float, t: float, ratios: tuple[float, ...]) -> float:

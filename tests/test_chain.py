@@ -71,6 +71,16 @@ def test_spec_validation():
         ChainSpec(13, 1e308)  # the middle couplings overflow to inf
 
 
+def test_spec_coerces_its_pattern():
+    # a pattern's value is read as the pattern; anything else is a ValidationError
+    spec = ChainSpec(7, pattern="perfect-transfer")
+    assert spec.pattern is Pattern.PERFECT_TRANSFER
+    assert spec == ChainSpec(7, pattern=Pattern.PERFECT_TRANSFER)
+    for pattern in ("bogus", "MATRYOSHKA", None, 2, ["matryoshka"]):
+        with pytest.raises(ValidationError, match="unknown coupling pattern"):
+            ChainSpec(5, pattern=pattern)
+
+
 def test_spec_defaults_to_zero_fields():
     spec = ChainSpec(5)
     assert spec.fields_b == (0.0,) * 5

@@ -355,6 +355,14 @@ def test_verify_builds_no_state(monkeypatch, capsys):
         assert payload["verification"]["global_fidelity"] > 1 - 1e-10
 
 
+@pytest.mark.parametrize("n", [15, 27])
+def test_verify_reports_no_rounding_above_one(capsys, n):
+    # rounding alone once printed pair (1, 15) at a Bell fidelity of 1.0000000000000016
+    # and a purity of 1.0000000000000067; both are clipped at 1, as concurrence is
+    pairs = run_json(capsys, ["verify", "--n", str(n)])["verification"]["pairs"]
+    assert all(p[key] <= 1.0 for p in pairs for key in ("bell_fidelity", "purity", "concurrence"))
+
+
 def test_ghz_json(capsys):
     payload = run_json(capsys, ["ghz", "--n", "5"])
     assert payload["result"]["ghz_fidelity"] > 1 - 1e-8

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,29 +25,12 @@ from bellchain import fermion
 from bellchain.cli import main
 import bellchain.evolve
 from _helpers import random_custom_spec
-from _reference import basis_vec, evolve_dense, krawtchouk_mirror, letters_dense
-from _reference import nested_amplitudes, product_covariance, rdm, spec_hamiltonian
+from _reference import basis_vec, covariance_ref, evolve_dense, krawtchouk_mirror, letters_dense
+from _reference import majorana_dense, nested_amplitudes, product_covariance, rdm, spec_hamiltonian
 
 # a time away from t*, where nothing is a Bell pair
 T_OFF = 0.37
 T_STAR = matryoshka_time()
-
-
-def majorana_dense(n: int, k: int) -> np.ndarray:
-    """c_k from its letters: Z below site k // 2 + 1, X (k even) or Y (k odd) on it."""
-    site = k // 2 + 1
-    return letters_dense("Z" * (site - 1) + "XY"[k % 2] + "I" * (n - site))
-
-
-def covariance_ref(vec: np.ndarray, n: int) -> np.ndarray:
-    """Gamma_kl = i <c_k c_l> (k != l) of a state vector, by dense products."""
-    cs = [majorana_dense(n, k) for k in range(2 * n)]
-    gamma = np.zeros((2 * n, 2 * n))
-    for k in range(2 * n):
-        for l in range(2 * n):
-            if k != l:
-                gamma[k, l] = (1j * np.vdot(vec, cs[k] @ cs[l] @ vec)).real
-    return gamma
 
 
 def start_ref(n: int, initial: str) -> np.ndarray:
@@ -85,6 +69,53 @@ def test_pfaffian_of_odd_and_singular_matrices_is_zero():
     assert fermion._pfaffian(np.zeros((4, 4))) == 0.0
 
 
+def word_phase_ref(n: int, word, x_mask: int, z_mask: int) -> complex:
+    """The phase of ``string`` = phase * c_word, from both applied to |0...0> site by site.
+
+    c_k is X (k even) or Y (k odd) on site k // 2 + 1 with Z below it, so
+    on a basis state it flips that site and picks up the sign of the Z
+    letters, and i for Y; the string sends |0...0> to i^(number of Y) |x>.
+    Also checks that the word sends |0...0> to the same |x>.
+    """
+    index, value = 0, 1.0 + 0.0j
+    for k in reversed(word):
+        site = k // 2
+        below = index & ((1 << site + k % 2) - 1)
+        value *= (1j if k % 2 else 1.0) * (-1) ** bin(below).count("1")
+        index ^= 1 << site
+    assert index == x_mask
+    return 1j ** bin(x_mask & z_mask).count("1") / value
+
+
+@pytest.mark.parametrize("n", [3, 9, 70])
+def test_majorana_word_is_the_product_it_names(n):
+    # every string of 3 sites, and random ones of 9 and 70: the word is ascending, its
+    # Majoranas' masks XOR to the string's, and the phase matches the action on |0...0>;
+    # up to 9 sites phase * c_k[0] c_k[1] ... also equals the string as a dense operator
+    draw = random.Random(n)
+    if n == 3:
+        masks = [(x, z) for x in range(8) for z in range(8)]
+    else:
+        masks = [(draw.getrandbits(n), draw.getrandbits(n)) for _ in range(40)]
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) if n <= 9 else None
+    for x_mask, z_mask in masks:
+        string = PauliString(n, x_mask, z_mask)
+        word, phase = fermion._majorana_word(string)
+        assert list(word) == sorted(set(word))
+        x = z = 0
+        for k in word:
+            x ^= 1 << k // 2
+            z ^= (1 << k // 2 + k % 2) - 1
+        assert (x, z) == (x_mask, z_mask)
+        assert phase == pytest.approx(word_phase_ref(n, word, x_mask, z_mask), abs=1e-15)
+        if vec is not None:
+            product = vec
+            for k in reversed(word):
+                product = majorana_dense(n, k) @ product
+            assert np.max(np.abs(phase * product - letters_dense(string.letters) @ vec)) < 1e-12
+
+
 @pytest.mark.parametrize("letters", ["XII", "XZI", "ZZI", "XXX"])
 def test_terms_that_are_not_majorana_bilinears_are_refused(letters):
     hamiltonian = HamiltonianTerms(3, ((1.0, PauliString.from_letters(letters)),))
@@ -121,7 +152,19 @@ def test_covariance_matches_the_dense_reference(n, initial):
         assert np.max(np.abs(gamma - covariance_ref(vec, n))) < 1e-10
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("initial", ["all0", "all1"])
+def test_start_covariance_is_the_product_state(n, initial):
+    # at t = 0 Gamma is the closed-form Gamma(0) of the Z-basis product state
+    rng = np.random.default_rng(n)
+    expected = covariance_ref(start_ref(n, initial), n)
+    assert np.array_equal(expected, product_covariance(n, initial))
+    for spec in (ChainSpec(n), random_custom_spec(rng, n), asymmetric_spec(rng, n)):
+        gamma = fermion._evolved_covariance(spec, 0.0, InitialState(initial))
+        assert np.max(np.abs(gamma - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
 @pytest.mark.parametrize("initial", ["all0", "all1"])
 def test_ideal_covariance_is_the_scheduled_state(n, initial):
     schedule = bell_schedule(n, initial)

@@ -72,6 +72,13 @@ def test_bell_fidelity_counts_overlaps_below_the_concurrence_cutoff_as_zero():
         assert reported == pytest.approx(fidelity, rel=1e-9)
 
 
+def test_bell_fidelity_clips_rounding_above_one():
+    # <b|rho|b> just above 1, within the trace tolerance of a density
+    psi = bell_state(BellLabel.PSI_PLUS)
+    rho = (1.0 + 1e-13) * np.outer(psi, psi.conj())
+    assert bellchain.matryoshka._mixed_bell_fidelity(psi, rho) == 1.0
+
+
 def test_closest_bell_on_density_matrix():
     vec = bell_state(BellLabel.PSI_PLUS)
     label, fidelity = closest_bell(np.outer(vec, vec.conj()))
