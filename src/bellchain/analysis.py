@@ -6,7 +6,9 @@ evolves |000> for t*, and compares against the unperturbed result.  It
 runs on the Majorana covariance route of :mod:`bellchain.fermion`: one
 6x6 covariance Gamma(t*) per grid point, and the overlap of two such
 Gaussian states from the Pfaffian of their mean, the helper that also
-gives ``verify`` its global fidelity.  No state is built.
+gives ``verify`` its global fidelity.  The sweep resolves the couplings
+once, and each point writes its 3x3 block A[even, odd] from them and
+its own fields.  No state is built.
 
 ``purity`` and ``concurrence`` live with the reduced densities in
 :mod:`bellchain.pauli` and are re-exported here, their public home.
@@ -23,7 +25,7 @@ import numpy as np
 from .chain import ChainSpec, Pattern
 from .errors import ValidationError
 from .evolve import matryoshka_time
-from .fermion import _evolved_covariance, _gaussian_fidelity
+from .fermion import _block_covariance, _coupling_block, _evolved_covariance, _gaussian_fidelity
 from .matryoshka import InitialState
 from .pauli import StateVector, _check_int, _check_real
 from .pauli import concurrence, purity  # re-exported: their public home
@@ -85,15 +87,16 @@ def field_sweep(
     t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
     axis = tuple(np.linspace(0.0, 0.1, grid_points))
     j_edge = base.lam * math.sqrt(base.n_sites - 1)
+    j_x, j_y = base.couplings()
+    # checks the route's size against memory once, for every point of the sweep
     reference = _evolved_covariance(base, t_star, InitialState.ALL0)
     results = []
     for b3 in sorted(ratios_b3):
         rows = []
         for b1 in axis:
             for b2 in axis:
-                fields = tuple(r * j_edge for r in (b1, b2, b3))
-                spec = ChainSpec(base.n_sites, base.lam, base.pattern, fields)
-                evolved = _evolved_covariance(spec, t_star, InitialState.ALL0)
+                block = _coupling_block(j_x, j_y, tuple(r * j_edge for r in (b1, b2, b3)))
+                evolved = _block_covariance(block, t_star, InitialState.ALL0)
                 rows.append((float(b1), float(b2), _gaussian_fidelity(reference, evolved)))
         results.append(SweepResult(b3, tuple(rows), min(row[2] for row in rows)))
     return results

@@ -96,20 +96,24 @@ class ChainSpec:
                 raise ValidationError(f"coupling arrays must have length {n - 1}")
             object.__setattr__(self, "j_x", j_x)
             object.__setattr__(self, "j_y", j_y)
+            couplings = j_x, j_y
         else:
             if self.j_x is not None or self.j_y is not None:
                 raise ValidationError("built-in patterns do not accept coupling arrays")
-            if not math.isfinite(max(perfect_transfer_couplings(n, lam))):
+            if self.pattern is Pattern.PERFECT_TRANSFER:
+                base = perfect_transfer_couplings(n, lam)
+                couplings = base, base
+            else:
+                couplings = matryoshka_couplings(n, lam)
+            # every bond carries its perfect-transfer strength in J_X or J_Y
+            if not math.isfinite(max(couplings[0] + couplings[1])):
                 raise ValidationError(f"coupling scale {lam!r} overflows the largest coupling")
+        # not a dataclass field: equality, hash and repr stay those of the fields
+        object.__setattr__(self, "_couplings", couplings)
 
     def couplings(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Resolved (J_X, J_Y) arrays for this spec."""
-        if self.pattern is Pattern.PERFECT_TRANSFER:
-            base = perfect_transfer_couplings(self.n_sites, self.lam)
-            return base, base
-        if self.pattern is Pattern.MATRYOSHKA_ALTERNATING:
-            return matryoshka_couplings(self.n_sites, self.lam)
-        return self.j_x, self.j_y
+        """Resolved (J_X, J_Y) arrays for this spec, resolved once at construction."""
+        return self._couplings
 
 
 @dataclass(frozen=True)

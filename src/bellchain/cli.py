@@ -13,6 +13,7 @@ impure boundary pair, failed linear algebra).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,9 @@ from .pauli import StateVector, _check_real, _parse_reals
 from .protocols import conveyor_run, ghz_protocol
 
 
+# built on the first call and kept: every default is an immutable str, int or
+# float, so parsing leaves the parser as it was for the next call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellchain",

@@ -19,11 +19,13 @@ central site, and the overlap with the ideal nested-Bell state, which
 for two pure Gaussian states is |<a|b>|^2 = |Pf((Gamma_a + Gamma_b)/2)|
 (Terhal & DiVincenzo, PRA 65, 032325 (2002)); the same overlap gives
 the field study of :mod:`bellchain.analysis` its fidelities, one 6x6
-covariance per grid point.  The set-up is closed form: the Majorana
-word of a Pauli string follows from its masks by bit operations, Gamma(0)
-of a Z-basis product state is -<Z_s> on each site's two Majoranas, and
-Gamma of the ideal state follows from each pair's Bell correlators and
-the +-1 Z values of the pairs inside it.  Pfaffians come from
+covariance per grid point.  The set-up is closed form and never builds
+a Pauli string: the block A[even, odd] is tridiagonal and read from the
+couplings and fields, the words of Z_s and of the pair strings are
+written down from the site numbers, Gamma(0) of a Z-basis product state
+is -<Z_s> on each site's two Majoranas, and Gamma of the ideal state
+follows from each pair's Bell correlators and the +-1 Z values of the
+pairs inside it.  Pfaffians come from
 Parlett-Reid elimination (Wimmer, ACM TOMS 38, 30 (2012)).  The four
 long strings of the mirror pairs, X or Y on both sites, share their
 inner blocks, which nest from the centre outwards, so one elimination
@@ -39,11 +41,12 @@ memory, not by 2^N amplitudes.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, HamiltonianTerms, build_hamiltonian
-from .errors import BellchainError, ValidationError
+from .chain import ChainSpec
+from .errors import BellchainError
 from .evolve import _NOT_FINITE, _check_memory
 from .matryoshka import (
     _BELL_TABLE,
@@ -55,77 +58,67 @@ from .matryoshka import (
     _mixed_bell_fidelity,
     bell_schedule,
 )
-from .pauli import _PHASES, DensityMatrix, PauliString, _check_real, concurrence, purity
+from .pauli import _LETTER_MATRICES, DensityMatrix, _check_real, concurrence, purity
 
 # the route's memory in 2N x 2N matrices of 16 bytes an entry, each the room of two
-# real ones: A and R, O E^T and its transpose, Gamma, and the carried elimination's
-# copy with the SVD's N x N factors and workspace
+# real ones: R, O E^T and its transpose, Gamma, and the carried elimination's copy
+# with the SVD's N x N factors and workspace
 _MATRICES_HELD = 4
 # a carried |Pf(S)| below this leaves its pair, and every pair outside it, to direct Pfaffians
 _CARRY_MIN_PFAFFIAN = 1e-3
-# the parity-even Pauli strings of a site pair (p, q), the identity left out,
-# as 2-site strings whose site 2 is p and site 1 is q, and their 4x4 matrices
-_PAIR_STRINGS = tuple(
-    PauliString.from_letters(letters[::-1])
-    for letters in ("ZI", "IZ", "ZZ", "XX", "XY", "YX", "YY")
+# the 4x4 matrices of the parity-even Pauli strings of a site pair (p, q), the
+# identity left out, p the most significant bit: ZI, IZ, ZZ, XX, XY, YX, YY
+_PAIR_MATRICES = tuple(
+    np.kron(_LETTER_MATRICES[a], _LETTER_MATRICES[b])
+    for a, b in ("ZI", "IZ", "ZZ", "XX", "XY", "YX", "YY")
 )
-_PAIR_MATRICES = tuple(string.dense() for string in _PAIR_STRINGS)
 
 
-@functools.lru_cache(maxsize=1024)
-def _majorana_word(string: PauliString) -> tuple[tuple[int, ...], complex]:
-    """``(k, phase)`` with ``string`` = phase * c_k[0] c_k[1] ..., k ascending.
+def _pair_words(p: int, q: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """``(word, sign)`` with <P> = sign * Pf(Gamma_word) for each string of ``_PAIR_MATRICES``.
 
-    With a_j and b_j marking c_(2j-1) and c_(2j) in the word, the
-    string's masks are x_j = a_j + b_j and z_j = b_j + x_(j+1) + ... +
-    x_N over GF(2), so b is z plus the parities of x above each site, a
-    scan of log2(N) shifts of the mask.  Applied to |0...0> from the
-    last Majorana down, each c_k finds every site below its own still
-    0, so the product sends |0...0> to i^(number of b) |x>; the string
-    sends it to i^(number of Y) |x>, and the phase is their ratio.
-    Words are kept for the last 1024 strings: a chain's terms recur in
-    every covariance built for it, such as each point of a field sweep.
+    Site s holds c_(2s-2) = Z_1...Z_(s-1) X_s and c_(2s-1) = Z_1...Z_(s-1) Y_s,
+    so Z_s = -i c_(2s-2) c_(2s-1), and <P> = phase * (-i)^m * Pf(Gamma_word) for
+    P = phase * (a word of 2m Majoranas): -Gamma for Z_p or Z_q, +Pf for Z_p Z_q.
+    With S = 2p .. 2q-3, every Majorana of the d = q-p-1 sites in between, c_S =
+    i^d Z_(p+1)...Z_(q-1), and XZ = -iY, YZ = iX give c_l c_S c_r = i^d (-i) Y_p B_q
+    for l = 2p-2 and i^(d+1) X_p B_q for l = 2p-1, with r = 2q-2 for B = X and
+    2q-1 for B = Y: the sign is (-1)^(d + l).
     """
-    x, z = string.x_mask, string.z_mask
-    above = x >> 1
-    shift = 1
-    while shift < string.n_sites:
-        above ^= above >> shift
-        shift <<= 1
-    b = z ^ above
-    a = x ^ b
-    size = (string.n_sites + 7) // 8
-    masks = np.frombuffer(a.to_bytes(size, "little") + b.to_bytes(size, "little"), np.uint8)
-    # rows a and b of the bits, read column by column: c_(2j-1) before c_(2j)
-    word = np.flatnonzero(np.unpackbits(masks, bitorder="little").reshape(2, -1).T)
-    return tuple(word.tolist()), _PHASES[((x & z).bit_count() - b.bit_count()) % 4]
+    z_p, z_q = (2 * p - 2, 2 * p - 1), (2 * q - 2, 2 * q - 1)
+    between = tuple(range(2 * p, 2 * q - 2))
+    words = [(z_p, -1.0), (z_q, -1.0), (z_p + z_q, 1.0)]
+    for l in (2 * p - 1, 2 * p - 2):  # X, then Y on site p
+        for r in z_q:  # X, then Y on site q
+            words.append(((l, *between, r), (-1.0) ** (q - p - 1 + l)))
+    return tuple(words)
 
 
-def _generator(hamiltonian: HamiltonianTerms) -> np.ndarray:
-    """The real antisymmetric A with H = (i/4) sum_kl A_kl c_k c_l.
+def _coupling_block(
+    j_x: Sequence[float], j_y: Sequence[float], fields: Sequence[float]
+) -> np.ndarray:
+    """B = A[even, odd] of the chain, for H = (i/4) sum_kl A_kl c_k c_l: tridiagonal.
 
-    A term w P with P = phase * c_a c_b (a < b) contributes
-    A_ab = -A_ba = -2i w phase.  Raises ValidationError for a term that
-    is not a product of two Majoranas.
+    With the words of :func:`_pair_words`, b_s Z_s = -i b_s c_(2s-2) c_(2s-1),
+    J_x X_s X_(s+1) = -i J_x c_(2s-1) c_(2s) and J_y Y_s Y_(s+1) = i J_y c_(2s-2)
+    c_(2s+1), and a term w * phase * c_k c_l (k < l) gives A_kl = -A_lk = -2i w
+    phase.  So B holds -2 b_s on its diagonal, 2 J_x on its subdiagonal and 2 J_y
+    on its superdiagonal, and A is zero between two evens or two odds.  Adding
+    the three diagonals also turns every -0.0, such as -2 * 0.0, into 0.0, so
+    the SVD sees the same bits as for a block built entry by entry.  The
+    products are Python floats: one that overflows is inf, without a numpy
+    warning, for :func:`_block_covariance` to refuse.
     """
-    a = np.zeros((2 * hamiltonian.n_sites,) * 2)
-    for weight, string in hamiltonian.terms:
-        word, phase = _majorana_word(string)
-        if len(word) != 2:
-            raise ValidationError(
-                f"term {string.letters} is {len(word)} Majoranas, not 2: "
-                "the chain is not a free-fermion model"
-            )
-        k, l = word
-        entry = (-2j * weight * phase).real
-        a[k, l] += entry
-        a[l, k] -= entry
-    return a
+    return (
+        np.diag([-2.0 * b for b in fields])
+        + np.diag([2.0 * j for j in j_x], -1)
+        + np.diag([2.0 * j for j in j_y], 1)
+    )
 
 
 @functools.cache
 def _bell_correlators(label: BellLabel) -> tuple[float, ...]:
-    """<P> in the Bell state ``label`` for each of ``_PAIR_STRINGS``: ZI, IZ, ZZ, XX, XY, YX, YY."""
+    """<P> in the Bell state ``label`` of each ``_PAIR_MATRICES``: ZI, IZ, ZZ, XX, XY, YX, YY."""
     b = _BELL_TABLE[label]
     return tuple(float(np.vdot(b, matrix @ b).real) for matrix in _PAIR_MATRICES)
 
@@ -156,37 +149,26 @@ def _ideal_covariance(schedule: MatryoshkaSchedule) -> np.ndarray:
     return gamma - gamma.T
 
 
-def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
-    """Gamma(t) = R Gamma(0) R^T for the chain ``spec`` from the ``initial`` product state.
+def _block_covariance(block: np.ndarray, t: float, initial: InitialState) -> np.ndarray:
+    """Gamma(t) = R Gamma(0) R^T of the chain whose A[even, odd] is ``block``, from ``initial``.
 
-    Every term of a chain (XX, YY or Z) pairs an even Majorana with an
-    odd one, so A is zero between two evens or two odds, and with the
-    SVD B = U S V^T of its real N x N block B = A[even, odd], R = e^(At)
-    has the blocks U cos(St) U^T (even, even), U sin(St) V^T (even,
-    odd), -V sin(St) U^T (odd, even) and V cos(St) V^T (odd, odd).  The
-    product state's Gamma(0) holds -<Z_s> = -z at (c_(2s-1), c_(2s)), z
-    at (c_(2s), c_(2s-1)) and 0 elsewhere, so with E and O the columns
-    of R that belong to the c_(2s-1) and to the c_(2s), R Gamma(0) R^T
-    = z (O E^T - E O^T).
+    A is zero between two evens or two odds, so with the SVD B = U S V^T
+    of its real N x N block B = A[even, odd], R = e^(At) has the blocks
+    U cos(St) U^T (even, even), U sin(St) V^T (even, odd), -V sin(St)
+    U^T (odd, even) and V cos(St) V^T (odd, odd).  The product state's
+    Gamma(0) holds -<Z_s> = -z at (c_(2s-1), c_(2s)), z at (c_(2s),
+    c_(2s-1)) and 0 elsewhere, so with E and O the columns of R that
+    belong to the c_(2s-1) and to the c_(2s), R Gamma(0) R^T = z (O E^T
+    - E O^T).
     The products are ``einsum``'s own loops, not BLAS, so Gamma does not
-    depend on the BLAS thread count as long as the SVD does not.  The
-    size is checked against physical memory before anything is built;
-    a non-finite A, R or Gamma raises BellchainError.
+    depend on the BLAS thread count as long as the SVD does not.  A
+    non-finite B, R or Gamma raises BellchainError.
     """
-    n = spec.n_sites
-    _check_memory(
-        _MATRICES_HELD * (2 * n) ** 2 * 16,
-        f"the covariance route at {n} sites "
-        f"({2 * _MATRICES_HELD} real {2 * n}x{2 * n} matrices)",
-    )
-    a = _generator(build_hamiltonian(spec))
-    if not np.isfinite(a).all():
+    if not np.isfinite(block).all():
         raise BellchainError(_NOT_FINITE)
-    if a[0::2, 0::2].any() or a[1::2, 1::2].any():
-        raise ValidationError("the chain couples two even or two odd Majoranas")
-    u, sigma, vt = np.linalg.svd(a[0::2, 1::2])
+    u, sigma, vt = np.linalg.svd(block)
     cos, sin = np.cos(sigma * t), np.sin(sigma * t)
-    r = np.empty_like(a)
+    r = np.empty((2 * len(block),) * 2)
     r[0::2, 0::2] = np.einsum("ik,jk->ij", u * cos, u)
     r[0::2, 1::2] = np.einsum("ik,kj->ij", u * sin, vt)
     r[1::2, 0::2] = -np.einsum("ki,jk->ij", vt * sin[:, None], u)
@@ -199,6 +181,17 @@ def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.
     if not np.isfinite(gamma).all():
         raise BellchainError(_NOT_FINITE)
     return gamma
+
+
+def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
+    """Gamma(t) of ``spec`` from ``initial``, its size first checked against physical memory."""
+    n = spec.n_sites
+    _check_memory(
+        _MATRICES_HELD * (2 * n) ** 2 * 16,
+        f"the covariance route at {n} sites "
+        f"({2 * _MATRICES_HELD} real {2 * n}x{2 * n} matrices)",
+    )
+    return _block_covariance(_coupling_block(*spec.couplings(), spec.fields_b), t, initial)
 
 
 def _eliminate(a: np.ndarray, k: int, end: int) -> float:
@@ -287,25 +280,22 @@ def _carried_borders(gamma: np.ndarray) -> dict[int, tuple[float, np.ndarray]]:
 
 
 def _expectation(
-    gamma: np.ndarray, string: PauliString, border: tuple[float, np.ndarray] | None = None
+    gamma: np.ndarray,
+    word: tuple[int, ...],
+    sign: float,
+    border: tuple[float, np.ndarray] | None = None,
 ) -> float:
-    """<P> of the Gaussian state with covariance ``gamma``, by Wick's theorem.
+    """<P> = sign * Pf(Gamma_word) of the Gaussian state ``gamma``, by Wick's theorem.
 
-    With P = phase * c_k1 ... c_k2m, <P> = phase * Pf(-i Gamma_kk) =
-    phase * (-i)^m * Pf(Gamma_kk); an odd number of Majoranas gives 0.
-    ``border``, a pair's ``(Pf(S), C)`` from :func:`_carried_borders`,
-    serves a string with X or Y on both sites of that pair, whose word
-    is l, S, r: Pf = Pf(S) C[l, r], with l and r read from the word.
+    ``word`` and ``sign`` come from :func:`_pair_words`.  ``border``, a
+    pair's ``(Pf(S), C)`` from :func:`_carried_borders`, serves a string
+    with X or Y on both sites of that pair, whose word is l, S, r: Pf =
+    Pf(S) C[l, r], with l and r read from the word.
     """
-    word, phase = _majorana_word(string)
-    if len(word) % 2:
-        return 0.0
     if border is None:
-        pfaffian = _pfaffian(gamma[np.ix_(word, word)])
-    else:
-        inner, schur = border
-        pfaffian = inner * schur[word[0] % 2, 2 + word[-1] % 2]
-    return (phase * (-1j) ** (len(word) // 2) * pfaffian).real
+        return sign * _pfaffian(gamma[np.ix_(word, word)])
+    inner, schur = border
+    return sign * inner * schur[word[0] % 2, 2 + word[-1] % 2]
 
 
 def _pair_density(
@@ -318,16 +308,9 @@ def _pair_density(
     the identity, give rho = sum <P> P / 4.  XX, XY, YX and YY take the
     pair's carried ``border`` when given, the rest a direct Pfaffian.
     """
-    n = gamma.shape[0] // 2
-    mask_p, mask_q = 1 << (p - 1), 1 << (q - 1)
     rho = np.eye(4, dtype=complex) / 4
-    for local, matrix in zip(_PAIR_STRINGS, _PAIR_MATRICES):
-        string = PauliString(
-            n,
-            (local.x_mask >> 1) * mask_p | (local.x_mask & 1) * mask_q,
-            (local.z_mask >> 1) * mask_p | (local.z_mask & 1) * mask_q,
-        )
-        rho += _expectation(gamma, string, border if local.x_mask == 3 else None) * matrix / 4
+    for k, ((word, sign), matrix) in enumerate(zip(_pair_words(p, q), _PAIR_MATRICES)):
+        rho += _expectation(gamma, word, sign, border if k >= 3 else None) * matrix / 4
     return rho
 
 
@@ -354,7 +337,8 @@ def verify_free_fermion(
         rho = DensityMatrix._trusted((p, q), _pair_density(gamma, p, q, borders.get(p)))
         fidelity = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
         reports.append(PairReport((p, q), label, concurrence(rho), fidelity, purity(rho)))
-    central_z = _expectation(gamma, PauliString.single(spec.n_sites, schedule.central_site, "Z"))
+    centre = schedule.central_site
+    central_z = _expectation(gamma, (2 * centre - 2, 2 * centre - 1), -1.0)
     return VerificationReport(
         schedule,
         tuple(reports),

@@ -17,16 +17,9 @@ import scipy.linalg
 
 from .chain import HamiltonianTerms
 from .errors import ValidationError
-from .pauli import StateVector
+from .pauli import _LETTER_MATRICES, StateVector
 
 _ORACLE_MAX_SITES = 10
-
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def dense_expm_evolve(hamiltonian: HamiltonianTerms, state: StateVector, t: float) -> StateVector:

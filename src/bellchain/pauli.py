@@ -34,6 +34,13 @@ _EIG_CUTOFF = 1e-12
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+# the 2x2 matrix of each letter, for operators built as Kronecker products
+_LETTER_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
 
 
 def _mask_action(pauli: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,11 @@ no code with the package and imports nothing from it, so a common-mode
 bug in the library's couplings, Hamiltonian assembly, bitmask, eigen or
 Krylov routes cannot hide here.  The Majorana mirror of the
 matryoshka chain at t* is closed form, a signed permutation written
-down from the site numbers.  Tests call these routes live.
+down from the site numbers.  The Majorana word of any Pauli string is
+found from its masks by bit operations, and the generator A of a
+Hamiltonian from the words of its terms, for the library's closed-form
+words and tridiagonal block to be checked against at any length.
+Tests call these routes live.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ def couplings(n: int, lam: float = 1.0, pattern: str = "matryoshka") -> tuple[li
     return j_x, j_y
 
 
-def chain_hamiltonian(j_x, j_y, fields=()) -> np.ndarray:
-    """sum_i (J_X,i X_i X_i+1 + J_Y,i Y_i Y_i+1) + sum_i B_i Z_i from the plain numbers."""
+def chain_terms(j_x, j_y, fields=()) -> list[tuple[float, str]]:
+    """The nonzero (weight, letters) terms of the chain with bonds J_X, J_Y and Z fields B."""
     n = len(j_x) + 1
     terms = []
     for bond in range(1, n):
@@ -95,7 +99,12 @@ def chain_hamiltonian(j_x, j_y, fields=()) -> np.ndarray:
     for site, b in enumerate(fields, start=1):
         if b != 0.0:
             terms.append((b, letters_at(n, {site: "Z"})))
-    return terms_hamiltonian(n, terms)
+    return terms
+
+
+def chain_hamiltonian(j_x, j_y, fields=()) -> np.ndarray:
+    """sum_i (J_X,i X_i X_i+1 + J_Y,i Y_i Y_i+1) + sum_i B_i Z_i from the plain numbers."""
+    return terms_hamiltonian(len(j_x) + 1, chain_terms(j_x, j_y, fields))
 
 
 def spec_hamiltonian(spec) -> np.ndarray:
@@ -148,6 +157,58 @@ def majorana_dense(n: int, k: int) -> np.ndarray:
     """c_k from its letters: Z below site k // 2 + 1, X (k even) or Y (k odd) on it."""
     site = k // 2 + 1
     return letters_dense("Z" * (site - 1) + "XY"[k % 2] + "I" * (n - site))
+
+
+def majorana_word(n: int, x_mask: int, z_mask: int) -> tuple[tuple[int, ...], complex]:
+    """``(k, phase)`` with the string of masks (x, z) = phase * c_k[0] c_k[1] ..., k ascending.
+
+    With a_j and b_j marking c_(2j-1) and c_(2j) in the word, the
+    string's masks are x_j = a_j + b_j and z_j = b_j + x_(j+1) + ... +
+    x_N over GF(2), so b is z plus the parities of x above each site, a
+    scan of log2(N) shifts of the mask.  Applied to |0...0> from the
+    last Majorana down, each c_k finds every site below its own still
+    0, so the product sends |0...0> to i^(number of b) |x>; the string
+    sends it to i^(number of Y) |x>, and the phase is their ratio.
+    """
+    above = x_mask >> 1
+    shift = 1
+    while shift < n:
+        above ^= above >> shift
+        shift <<= 1
+    b = z_mask ^ above
+    a = x_mask ^ b
+    size = (n + 7) // 8
+    masks = np.frombuffer(a.to_bytes(size, "little") + b.to_bytes(size, "little"), np.uint8)
+    # rows a and b of the bits, read column by column: c_(2j-1) before c_(2j)
+    word = np.flatnonzero(np.unpackbits(masks, bitorder="little").reshape(2, -1).T)
+    phase = 1j ** ((bin(x_mask & z_mask).count("1") - bin(b).count("1")) % 4)
+    return tuple(word.tolist()), phase
+
+
+def letters_masks(letters: str) -> tuple[int, int]:
+    """(x_mask, z_mask) of a word of I, X, Y and Z letters, site 1 the least significant bit."""
+    x = sum(1 << site for site, letter in enumerate(letters) if letter in "XY")
+    z = sum(1 << site for site, letter in enumerate(letters) if letter in "YZ")
+    return x, z
+
+
+def terms_generator(n: int, terms) -> np.ndarray:
+    """The real antisymmetric A with H = (i/4) sum_kl A_kl c_k c_l, H the (weight, letters) terms.
+
+    A term w P with P = phase * c_a c_b (a < b) contributes A_ab =
+    -A_ba = -2i w phase.  Raises ValueError for a term that is not a
+    product of two Majoranas.
+    """
+    a = np.zeros((2 * n, 2 * n))
+    for weight, letters in terms:
+        word, phase = majorana_word(n, *letters_masks(letters))
+        if len(word) != 2:
+            raise ValueError(f"term {letters} is {len(word)} Majoranas: not a free-fermion model")
+        k, l = word
+        entry = (-2j * weight * phase).real
+        a[k, l] += entry
+        a[l, k] -= entry
+    return a
 
 
 def covariance_ref(vec: np.ndarray, n: int) -> np.ndarray:

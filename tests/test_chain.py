@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import bellchain.chain
 from bellchain import (
     ChainSpec,
     HamiltonianTerms,
@@ -79,6 +80,33 @@ def test_spec_coerces_its_pattern():
     for pattern in ("bogus", "MATRYOSHKA", None, 2, ["matryoshka"]):
         with pytest.raises(ValidationError, match="unknown coupling pattern"):
             ChainSpec(5, pattern=pattern)
+
+
+@pytest.mark.parametrize("pattern", [Pattern.MATRYOSHKA_ALTERNATING, Pattern.PERFECT_TRANSFER])
+def test_spec_resolves_its_couplings_once(monkeypatch, pattern):
+    base = perfect_transfer_couplings(7, 1.3)
+    expected = matryoshka_couplings(7, 1.3) if pattern.value == "matryoshka" else (base, base)
+    calls = []
+
+    def counting(n_sites, lam):
+        calls.append((n_sites, lam))
+        return base
+
+    monkeypatch.setattr(bellchain.chain, "perfect_transfer_couplings", counting)
+    spec = ChainSpec(7, 1.3, pattern)
+    assert spec.couplings() == spec.couplings() == expected
+    assert calls == [(7, 1.3)]
+    # the resolved couplings are no dataclass field: equality, hash and repr are the fields'
+    twin = ChainSpec(7, 1.3, pattern)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert [f.name for f in dataclasses.fields(spec)] == [
+        "n_sites", "lam", "pattern", "fields_b", "j_x", "j_y"
+    ]
+    assert repr(spec) == (
+        f"ChainSpec(n_sites=7, lam=1.3, pattern={pattern!r}, fields_b={(0.0,) * 7!r}, "
+        "j_x=None, j_y=None)"
+    )
+    assert dataclasses.replace(spec, fields_b=(0.1,) * 7).couplings() == expected
 
 
 def test_spec_defaults_to_zero_fields():

@@ -176,6 +176,49 @@ def test_unknown_command_exits_two():
     assert info.value.code == 2
 
 
+def test_the_kept_parser_writes_what_a_fresh_one_writes(tmp_path, capsys):
+    # main builds its parser once and keeps it: a run of commands that sets each
+    # default and then leaves it, with a bad argument in between, writes the same
+    # bytes as the same commands each on a parser of its own
+    commands = [
+        ["verify", "--n", "5", "--initial", "all1", "--min-fidelity", "0.5"],
+        ["verify", "--n", "5"],
+        ["reference-point", "--scale", "0.5", "--lam", "2.0"],
+        ["reference-point"],
+        ["sweep", "--n", "3", "--grid", "3", "--b3", "0.01", "--prefix", "a_"],
+        ["sweep", "--n", "3", "--grid", "2"],
+        ["flux-check", "--n", "5", "--t-star", "0.3"],
+        ["conveyor", "--n", "5", "--rounds", "2"],
+        ["conveyor", "--n", "5"],
+        ["generate", "--n", "3", "--initial", "all1"],
+        ["generate", "--n", "3"],
+        ["ghz", "--n", "5"],
+    ]
+
+    def run(out_dir, fresh):
+        out_dir.mkdir()
+        for i, argv in enumerate(commands):
+            if fresh:
+                cli.build_parser.cache_clear()
+            if argv[0] == "sweep":
+                argv = [*argv, "--out-dir", str(out_dir / str(i))]
+            else:
+                argv = [*argv, "--out", str(out_dir / f"{i}.json")]
+            assert main(argv) == 0
+            with pytest.raises(SystemExit) as info:
+                main(["verify", "--n", "five"])
+            assert info.value.code == 2
+        capsys.readouterr()
+        return {path.relative_to(out_dir): path.read_bytes() for path in out_dir.rglob("*.*")}
+
+    cli.build_parser.cache_clear()
+    kept = run(tmp_path / "kept", fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = run(tmp_path / "fresh", fresh=True)
+    assert len(kept) == 10 + 2 + 4  # ten reports, and each sweep's slices with its summary
+    assert kept == fresh
+
+
 def test_conveyor_impure_pair_exits_three(capsys):
     code = main(["conveyor", "--n", "3", "--b", "0.4,0.4,0.4", "--rounds", "1"])
     captured = capsys.readouterr()

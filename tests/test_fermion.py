@@ -1,20 +1,21 @@
+import dataclasses
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bellchain import (
+    BellchainError,
     ChainSpec,
-    HamiltonianTerms,
     InitialState,
     Pattern,
     PauliString,
     Propagator,
     StateVector,
-    ValidationError,
     bell_schedule,
     build_hamiltonian,
     matryoshka_time,
@@ -25,8 +26,9 @@ from bellchain import fermion
 from bellchain.cli import main
 import bellchain.evolve
 from _helpers import random_custom_spec
-from _reference import basis_vec, covariance_ref, evolve_dense, krawtchouk_mirror, letters_dense
-from _reference import majorana_dense, nested_amplitudes, product_covariance, rdm, spec_hamiltonian
+from _reference import basis_vec, chain_terms, couplings, covariance_ref, evolve_dense
+from _reference import krawtchouk_mirror, letters_dense, majorana_dense, majorana_word
+from _reference import nested_amplitudes, product_covariance, rdm, spec_hamiltonian, terms_generator
 
 # a time away from t*, where nothing is a Bell pair
 T_OFF = 0.37
@@ -40,6 +42,14 @@ def start_ref(n: int, initial: str) -> np.ndarray:
 def asymmetric_spec(rng: np.random.Generator, n: int) -> ChainSpec:
     """The matryoshka chain with random fields that no mirror maps onto themselves."""
     return ChainSpec(n, fields_b=tuple(rng.uniform(-0.3, 0.3, size=n)))
+
+
+def generator(spec: ChainSpec) -> np.ndarray:
+    """The route's A of ``spec``: its coupling block between the evens and the odds."""
+    block = fermion._coupling_block(*spec.couplings(), spec.fields_b)
+    a = np.zeros((2 * spec.n_sites,) * 2)
+    a[0::2, 1::2], a[1::2, 0::2] = block, -block.T
+    return a
 
 
 @pytest.mark.parametrize("size", [2, 4, 6, 10, 16])
@@ -89,9 +99,10 @@ def word_phase_ref(n: int, word, x_mask: int, z_mask: int) -> complex:
 
 @pytest.mark.parametrize("n", [3, 9, 70])
 def test_majorana_word_is_the_product_it_names(n):
-    # every string of 3 sites, and random ones of 9 and 70: the word is ascending, its
-    # Majoranas' masks XOR to the string's, and the phase matches the action on |0...0>;
-    # up to 9 sites phase * c_k[0] c_k[1] ... also equals the string as a dense operator
+    # every string of 3 sites, and random ones of 9 and 70: the reference word is
+    # ascending, its Majoranas' masks XOR to the string's, and the phase matches the
+    # action on |0...0>; up to 9 sites phase * c_k[0] c_k[1] ... also equals the
+    # string as a dense operator
     draw = random.Random(n)
     if n == 3:
         masks = [(x, z) for x in range(8) for z in range(8)]
@@ -100,8 +111,7 @@ def test_majorana_word_is_the_product_it_names(n):
     rng = np.random.default_rng(n)
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) if n <= 9 else None
     for x_mask, z_mask in masks:
-        string = PauliString(n, x_mask, z_mask)
-        word, phase = fermion._majorana_word(string)
+        word, phase = majorana_word(n, x_mask, z_mask)
         assert list(word) == sorted(set(word))
         x = z = 0
         for k in word:
@@ -113,33 +123,94 @@ def test_majorana_word_is_the_product_it_names(n):
             product = vec
             for k in reversed(word):
                 product = majorana_dense(n, k) @ product
-            assert np.max(np.abs(phase * product - letters_dense(string.letters) @ vec)) < 1e-12
+            letters = PauliString(n, x_mask, z_mask).letters
+            assert np.max(np.abs(phase * product - letters_dense(letters) @ vec)) < 1e-12
 
 
 @pytest.mark.parametrize("letters", ["XII", "XZI", "ZZI", "XXX"])
 def test_terms_that_are_not_majorana_bilinears_are_refused(letters):
-    hamiltonian = HamiltonianTerms(3, ((1.0, PauliString.from_letters(letters)),))
-    with pytest.raises(ValidationError, match="not a free-fermion model"):
-        fermion._generator(hamiltonian)
+    # the reference generator, which the route's block is checked against, takes
+    # Majorana bilinears only
+    with pytest.raises(ValueError, match="not a free-fermion model"):
+        terms_generator(3, [(1.0, letters)])
 
 
-def test_a_coupling_between_two_odd_majoranas_is_refused(monkeypatch):
-    # X_1 Y_2 is the bilinear c_1 c_3, which the SVD of A[even, odd] cannot hold
-    hamiltonian = HamiltonianTerms(3, ((1.0, PauliString.from_letters("XYI")),))
-    monkeypatch.setattr(fermion, "build_hamiltonian", lambda spec: hamiltonian)
-    with pytest.raises(ValidationError, match="two even or two odd Majoranas"):
-        fermion._evolved_covariance(ChainSpec(3), T_OFF, InitialState.ALL0)
+_PAIR_LETTERS = ("ZI", "IZ", "ZZ", "XX", "XY", "YX", "YY")
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_generator_reproduces_the_hamiltonian(n):
-    # H = (i/4) sum_kl A_kl c_k c_l, with c_k from its letters and H from the spec's numbers
-    spec = random_custom_spec(np.random.default_rng(n), n)
-    a = fermion._generator(build_hamiltonian(spec))
-    assert np.array_equal(a, -a.T)
+def pair_letters(n: int, p: int, q: int, letters: str) -> str:
+    """The n-letter word with ``letters`` on sites p and q and I elsewhere."""
+    return "".join(letters[0] if s == p else letters[1] if s == q else "I" for s in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_pair_words_are_the_strings_they_name(n):
+    # sign * i^m * c_word, m half the word's length, acts as the pair's string P on a
+    # random state, for every site pair, with c_k and P Kronecker products: so
+    # P = phase * c_word with phase * (-i)^m = sign, and <P> = sign * Pf(Gamma_word)
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     cs = [majorana_dense(n, k) for k in range(2 * n)]
-    h = sum(0.25j * a[k, l] * cs[k] @ cs[l] for k in range(2 * n) for l in range(2 * n))
-    assert np.max(np.abs(h - spec_hamiltonian(spec))) < 1e-12
+    for p in range(1, n):
+        for q in range(p + 1, n + 1):
+            for (word, sign), letters in zip(fermion._pair_words(p, q), _PAIR_LETTERS):
+                product = vec
+                for k in reversed(word):
+                    product = cs[k] @ product
+                string = letters_dense(pair_letters(n, p, q, letters)) @ vec
+                assert np.max(np.abs(sign * 1j ** (len(word) // 2) * product - string)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [51, 101])
+def test_pair_words_match_the_reference_words(n):
+    # every site pair of a long chain: the closed-form word is the reference word, and
+    # the sign is the reference phase times (-i)^m, exactly
+    for p in range(1, n):
+        for q in range(p + 1, n + 1):
+            for (word, sign), letters in zip(fermion._pair_words(p, q), _PAIR_LETTERS):
+                x = (letters[0] in "XY") << (p - 1) | (letters[1] in "XY") << (q - 1)
+                z = (letters[0] in "YZ") << (p - 1) | (letters[1] in "YZ") << (q - 1)
+                ref_word, phase = majorana_word(n, x, z)
+                assert word == ref_word, (p, q, letters)
+                assert sign == (phase * (-1j) ** (len(word) // 2)).real, (p, q, letters)
+
+
+@pytest.mark.parametrize("n", [3, 5, 51, 101])
+@pytest.mark.parametrize("pattern", ["matryoshka", "perfect-transfer", "custom"])
+def test_coupling_block_is_the_reference_generator(n, pattern):
+    # the tridiagonal block, entry by entry and bit for bit, against A from the
+    # reference words of the chain's terms, built from the plain numbers; that A is
+    # zero between two evens and between two odds, so the block holds all of it
+    rng = np.random.default_rng(n)
+    fields = tuple(rng.uniform(-1.0, 1.0, size=n))
+    if pattern == "custom":
+        j_x = tuple(rng.uniform(-1.5, 1.5, size=n - 1))
+        j_y = (-0.0,) + tuple(rng.uniform(-1.5, 1.5, size=n - 2))
+        spec = ChainSpec(n, 1.3, pattern, fields, j_x=j_x, j_y=j_y)
+    else:
+        j_x, j_y = couplings(n, 1.3, pattern)
+        spec = ChainSpec(n, 1.3, pattern, fields)
+    for spec_fields in (fields, (0.0,) * n):
+        spec = dataclasses.replace(spec, fields_b=spec_fields)
+        a = terms_generator(n, chain_terms(j_x, j_y, spec_fields))
+        assert not a[0::2, 0::2].any() and not a[1::2, 1::2].any()
+        block = fermion._coupling_block(*spec.couplings(), spec.fields_b)
+        assert np.array_equal(block, a[0::2, 1::2])
+        # no -0.0 either, which the SVD would see as other bits
+        assert block.tobytes() == a[0::2, 1::2].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_generator_reproduces_the_hamiltonian(n):
+    # H = (i/4) sum_kl A_kl c_k c_l, with c_k from its letters and H from the spec's
+    # numbers, applied to random states
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    cs = [majorana_dense(n, k) for k in range(2 * n)]
+    for spec in (random_custom_spec(rng, n), asymmetric_spec(rng, n)):
+        a = generator(spec)
+        h = sum(0.25j * a[k, l] * cs[k] @ (cs[l] @ states) for k, l in zip(*np.nonzero(a)))
+        assert np.max(np.abs(h - spec_hamiltonian(spec) @ states)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -252,6 +323,15 @@ def test_verify_at_51_sites(tmp_path, capsys):
     assert report["central"]["z_expectation"] == pytest.approx(1 - 2 * schedule.central_value)
 
 
+def test_a_coupling_that_overflows_in_the_block_is_refused():
+    # J = 1e308 * sqrt(2) is finite, 2 J is not: the block holds inf, which is
+    # refused before the SVD, and no numpy overflow warning reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BellchainError, match="overflowed"):
+            fermion._evolved_covariance(ChainSpec(3, 1e308), 1.0, InitialState.ALL0)
+
+
 def test_covariance_route_must_fit_in_memory(monkeypatch, capsys):
     # the route's complex 26 x 26 matrices: exactly at the limit passes, a byte less exits 2
     need = fermion._MATRICES_HELD * 26**2 * 16
@@ -266,7 +346,7 @@ def test_covariance_route_must_fit_in_memory(monkeypatch, capsys):
 def test_krawtchouk_mirror_is_the_route_propagator_at_t_star():
     # the closed form against e^(A t*) by Pade, for the library's own A
     for n in range(3, 16, 2):
-        r = scipy.linalg.expm(fermion._generator(build_hamiltonian(ChainSpec(n))) * T_STAR)
+        r = scipy.linalg.expm(generator(ChainSpec(n)) * T_STAR)
         assert np.max(np.abs(r - krawtchouk_mirror(n))) < 1e-12
 
 
