@@ -53,12 +53,11 @@ from .matryoshka import (
     BellLabel,
     InitialState,
     MatryoshkaSchedule,
-    PairReport,
     VerificationReport,
-    _mixed_bell_fidelity,
+    _pair_report,
     bell_schedule,
 )
-from .pauli import _LETTER_MATRICES, DensityMatrix, _check_real, concurrence, purity
+from .pauli import _LETTER_MATRICES, DensityMatrix, _check_real
 
 # the route's memory in 2N x 2N matrices of 16 bytes an entry, each the room of two
 # real ones: R, O E^T and its transpose, Gamma, and the carried elimination's copy
@@ -320,9 +319,8 @@ def verify_free_fermion(
     """The :func:`verify_matryoshka` report of the chain evolved for ``t``, without a state.
 
     Starts from the ``initial`` product state and scores against
-    ``bell_schedule(spec.n_sites, initial)``.  Pair numbers come from
-    each pair's 4x4 density through ``concurrence``, ``purity`` and the
-    Bell fidelity of :func:`verify_matryoshka`; the central purity is
+    ``bell_schedule(spec.n_sites, initial)``.  Each pair's 4x4 density
+    is scored as :func:`verify_matryoshka` scores it; the central purity is
     (1 + <Z>^2)/2, since <X> and <Y> vanish by parity; the global
     fidelity is sqrt|Pf((Gamma_ideal + Gamma)/2)|, with Gamma_ideal built
     from the schedule's Bell pairs and central spin.  Agrees with the
@@ -335,8 +333,7 @@ def verify_free_fermion(
     reports = []
     for (p, q), label in schedule.pairs:
         rho = DensityMatrix._trusted((p, q), _pair_density(gamma, p, q, borders.get(p)))
-        fidelity = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
-        reports.append(PairReport((p, q), label, concurrence(rho), fidelity, purity(rho)))
+        reports.append(_pair_report(rho, label))
     centre = schedule.central_site
     central_z = _expectation(gamma, (2 * centre - 2, 2 * centre - 1), -1.0)
     return VerificationReport(

@@ -19,10 +19,13 @@ import numpy as np
 from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
-from .pauli import _EIG_CUTOFF, _TIE_TOL, PauliString, StateVector, _check_chain_length, _check_int
-from .pauli import _check_site, _complex_array, _mask_action, concurrence, purity, reduced_density
+from .pauli import _TIE_TOL, DensityMatrix, PauliString, StateVector, _check_chain_length
+from .pauli import _check_int, _check_site, _complex_array, _mask_action, concurrence, purity
+from .pauli import _density_array, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
+# Bell overlaps <b|rho|b> below this are rounding, counted as 0
+_EIG_CUTOFF = 1e-12
 
 
 class BellLabel(enum.Enum):
@@ -59,9 +62,9 @@ def bell_state(label: BellLabel) -> np.ndarray:
 def _mixed_bell_fidelity(b: np.ndarray, rho: np.ndarray) -> float:
     """sqrt(<b|rho|b>) of a Bell vector against a 4x4 density.
 
-    <b|rho|b> below ``pauli._EIG_CUTOFF`` counts as 0, the noise floor
-    ``concurrence`` applies to its eigenvalues: the root would lift
-    rounding of 1e-16 to 1e-8.  Rounding above 1 is clipped to 1.
+    <b|rho|b> below ``_EIG_CUTOFF`` counts as 0: it is rounding, and
+    the root would lift rounding of 1e-16 to 1e-8.  Rounding above 1 is
+    clipped to 1.
     """
     overlap = np.real(np.vdot(b, rho @ b))
     return min(1.0, float(np.sqrt(overlap))) if overlap >= _EIG_CUTOFF else 0.0
@@ -71,21 +74,22 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
     """Best-matching Bell label for a pure 4-vector or a 4x4 density.
 
     Returns the label and the fidelity: |<b|psi>| for vectors,
-    sqrt(<b|rho|b>) for matrices.  Ties keep the first label in enum
-    order, so the result is deterministic.
+    sqrt(<b|rho|b>) for densities (checked within 1e-12).  Ties keep
+    the first label in enum order, so the result is deterministic.
     """
     pair = _complex_array(pair, "pair")
-    if pair.shape not in ((4,), (4, 4)):
+    if pair.ndim == 2:
+        pair = _density_array(pair, dim=4)
+    elif pair.shape != (4,):
         raise ValidationError(f"expected a 4-vector or 4x4 matrix, got shape {pair.shape}")
-    if not np.isfinite(pair).all():
+    elif not np.isfinite(pair).all():
         raise ValidationError("pair entries must be finite")
-    best_label, best_fid = None, -1.0
-    for label in BellLabel:
-        b = _BELL_TABLE[label]
-        fid = abs(np.vdot(b, pair)) if pair.ndim == 1 else _mixed_bell_fidelity(b, pair)
-        if fid > best_fid:
-            best_label, best_fid = label, fid
-    return best_label, best_fid
+    fidelities = {
+        label: abs(np.vdot(b, pair)) if pair.ndim == 1 else _mixed_bell_fidelity(b, pair)
+        for label, b in _BELL_TABLE.items()
+    }
+    best = max(fidelities, key=fidelities.get)  # the first of equal maxima
+    return best, fidelities[best]
 
 
 @dataclass(frozen=True)
@@ -237,6 +241,12 @@ class VerificationReport:
         }
 
 
+def _pair_report(rho: DensityMatrix, label: BellLabel) -> PairReport:
+    """Concurrence, purity and fidelity to the Bell state ``label`` of one pair's density."""
+    fidelity = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
+    return PairReport(rho.sites, label, concurrence(rho), fidelity, purity(rho))
+
+
 def verify_matryoshka(state: StateVector, schedule: MatryoshkaSchedule) -> VerificationReport:
     """Concurrences, Bell fidelities, purities, and the global overlap.
 
@@ -248,18 +258,16 @@ def verify_matryoshka(state: StateVector, schedule: MatryoshkaSchedule) -> Verif
         raise DimensionMismatchError(
             f"state has {state.n_sites} sites, schedule expects {schedule.n_sites}"
         )
-    reports = []
-    for (p, q), label in schedule.pairs:
-        rho = reduced_density(state, (p, q))
-        overlap = _mixed_bell_fidelity(_BELL_TABLE[label], rho.matrix)
-        reports.append(PairReport((p, q), label, concurrence(rho), overlap, purity(rho)))
+    reports = tuple(
+        _pair_report(reduced_density(state, sites), label) for sites, label in schedule.pairs
+    )
     central = schedule.central_site
     rho_c = reduced_density(state, (central,))
     central_z = float(np.real(rho_c.matrix[0, 0] - rho_c.matrix[1, 1]))
     ideal = ideal_matryoshka_state(schedule)
     return VerificationReport(
         schedule,
-        tuple(reports),
+        reports,
         purity(rho_c),
         central_z,
         abs(ideal.inner(state)),

@@ -27,8 +27,6 @@ _NORM_TOL = 1e-10
 _HERM_TOL = 1e-12
 # magnitudes this close are equal up to rounding and count as ties
 _TIE_TOL = 1e-9
-# eigenvalues and overlaps of a density matrix below this are rounding, counted as 0
-_EIG_CUTOFF = 1e-12
 
 # letter <-> (x bit, z bit); Y = i X Z carries both masks and an i
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -41,6 +39,7 @@ _LETTER_MATRICES = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+_YY = np.kron(_LETTER_MATRICES["Y"], _LETTER_MATRICES["Y"])
 
 
 def _mask_action(pauli: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +218,10 @@ def bit_label(index: int, n_sites: int) -> str:
 
 
 def _complex_array(values, name: str) -> np.ndarray:
-    """A new complex array of ``values``, which must all be numbers."""
+    """A new complex array of ``values``, which must all be numbers (not strings)."""
     try:
+        if np.asarray(values).dtype.kind in "SU":  # numpy would parse "0.5" as a number
+            raise TypeError
         return np.array(values, dtype=complex)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be numbers") from None
@@ -388,24 +389,17 @@ def purity(rho: DensityMatrix | np.ndarray) -> float:
 def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
-    Square-rooted eigenvalues of rho (Y x Y) rho* (Y x Y) are sorted
-    descending and combined as max(0, l1 - l2 - l3 - l4).  Eigenvalues
-    below 1e-12 are treated as exact zeros before the square root;
-    otherwise rounding noise in near-pure inputs is amplified to the
-    1e-8 scale by the root.  Small eigenvalues above the cutoff still
-    pass through the root, so a concurrence near 1 is ill-conditioned:
-    states within 5e-16 of each other gave concurrences 1.9e-12 apart.
-    Compare two routes by their states, not by their concurrences.
+    C = max(0, l1 - l2 - l3 - l4) over Wootters' l_i, sorted descending.
+    Writing rho = W W^dagger, with W the eigenvectors of rho scaled by
+    the roots of their eigenvalues (rounding below 0 clipped to 0), the
+    l_i are the singular values of W^T (Y x Y) W (Wootters, PRL 80, 2245
+    (1998)).  Singular values are perfectly conditioned, so no eigenvalue
+    needs a cutoff.  Rounding above 1 is clipped to 1.
     """
-    mat = _density_array(rho, dim=4)
-    yy = np.zeros((4, 4), dtype=complex)
-    yy[0, 3] = yy[3, 0] = -1.0
-    yy[1, 2] = yy[2, 1] = 1.0
-    spun = mat @ yy @ mat.conj() @ yy
-    eigenvalues = np.real(np.linalg.eigvals(spun))
-    eigenvalues[eigenvalues < _EIG_CUTOFF] = 0.0
-    roots = np.sqrt(np.sort(eigenvalues)[::-1])
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+    weights, vectors = np.linalg.eigh(_density_array(rho, dim=4))
+    root = vectors * np.sqrt(np.clip(weights, 0.0, None))
+    lam = np.linalg.svd(root.T @ _YY @ root, compute_uv=False)
+    return float(np.clip(lam[0] - lam[1] - lam[2] - lam[3], 0.0, 1.0))
 
 
 def reduced_density(state: StateVector, sites: Sequence[int]) -> DensityMatrix:

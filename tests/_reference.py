@@ -14,7 +14,9 @@ down from the site numbers.  The Majorana word of any Pauli string is
 found from its masks by bit operations, and the generator A of a
 Hamiltonian from the words of its terms, for the library's closed-form
 words and tridiagonal block to be checked against at any length.
-Tests call these routes live.
+Concurrences come from their closed forms for X-states and pure states,
+not from Wootters' general formula that the library uses.  Tests call
+these routes live.
 """
 
 from __future__ import annotations
@@ -283,15 +285,30 @@ def rdm(vec: np.ndarray, n: int, sites: tuple[int, ...]) -> np.ndarray:
     return moved @ moved.conj().T
 
 
-def wootters(rho: np.ndarray) -> float:
-    yy = np.array(
-        [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
+def x_state_concurrence(rho: np.ndarray) -> float:
+    """Concurrence of a two-qubit X-state in closed form (Yu & Eberly, QIC 7, 459 (2007)).
+
+    An X-state is block-diagonal in the pair's Z parity, as the pair
+    density of any state of definite parity is; its parity-odd entries
+    must be exactly 0.  C = 2 max(0, |rho03| - sqrt(rho11 rho22),
+    |rho12| - sqrt(rho00 rho33)); a product of diagonal entries that
+    rounds below 0 counts as 0.
+    """
+    for a, b in itertools.product(range(4), repeat=2):
+        if bin(a ^ b).count("1") % 2:
+            assert rho[a, b] == 0, f"rho[{a}, {b}] = {rho[a, b]} is not 0: not an X-state"
+    d = rho.diagonal().real
+    return 2.0 * max(
+        0.0,
+        abs(rho[0, 3]) - math.sqrt(max(0.0, d[1] * d[2])),
+        abs(rho[1, 2]) - math.sqrt(max(0.0, d[0] * d[3])),
     )
-    spun = rho @ yy @ rho.conj() @ yy
-    evals = np.sort(np.real(np.linalg.eigvals(spun)))[::-1]
-    evals = np.where(evals < 1e-12, 0.0, evals)
-    roots = np.sqrt(evals)
-    return float(min(1.0, max(0.0, roots[0] - roots[1] - roots[2] - roots[3])))
+
+
+def pure_concurrence(psi: np.ndarray) -> float:
+    """Concurrence 2|ad - bc| of the two-qubit pure state a|00> + b|01> + c|10> + d|11>."""
+    a, b, c, d = psi
+    return 2.0 * abs(a * d - b * c)
 
 
 def bell_vec(label: str) -> np.ndarray:
@@ -406,7 +423,7 @@ def conveyor_ref(n: int, rounds: int) -> list[dict]:
     records = []
     for round_index in range(1, rounds + 1):
         state = u @ state
-        boundary_concurrence = wootters(rdm(state, n, (1, n)))
+        boundary_concurrence = x_state_concurrence(rdm(state, n, (1, n)))
         pair, after, inner, _, _ = extract_ref(state, n)
         label, label_fidelity = closest_bell_ref(pair)
         chain_class, internal_fidelity = classify_ref(inner, n - 2)

@@ -10,6 +10,7 @@ from bellchain import (
     StateVector,
     ValidationError,
     bell_state,
+    closest_bell,
     concurrence,
     field_sweep,
     purity,
@@ -25,6 +26,7 @@ from _reference import (
     couplings,
     covariance_ref,
     evolve_dense,
+    pure_concurrence,
     reference_point_ref,
     sweep_minima_ref,
 )
@@ -71,17 +73,98 @@ def test_concurrence_werner_state():
         assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
 
 
+def random_local_unitary(rng: np.random.Generator) -> np.ndarray:
+    u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return np.kron(u1, u2)
+
+
+def random_density(rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """rho = W W^dagger / tr for a random 4 x rank W; the rank is random when not given."""
+    rank = int(rng.integers(1, 5)) if rank is None else rank
+    raw = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(9)
     for _ in range(10):
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = raw @ raw.conj().T
-        rho /= np.trace(rho).real
-        u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        local = np.kron(u1, u2)
+        rho = random_density(rng, rank=4)
+        local = random_local_unitary(rng)
         rotated = local @ rho @ local.conj().T
         assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
+    # to rounding, on full-rank states and on states within 1e-12..1e-6 of a pure one
+    rng = np.random.default_rng(13)
+    for k in range(100):
+        rho = random_density(rng, rank=4)
+        if k % 2:
+            weight = 10.0 ** rng.uniform(-12.0, -6.0)
+            rho = (1.0 - weight) * random_density(rng, rank=1) + weight * rho
+        local = random_local_unitary(rng)
+        rotated = local @ rho @ local.conj().T
+        assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-13), k
+
+
+def test_concurrence_of_pure_states_is_twice_ad_minus_bc():
+    # every fourth state lies within 1e-7 of a product state
+    rng = np.random.default_rng(14)
+    for k in range(200):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if k % 4 == 0:
+            u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            psi = np.kron(u, v) + 1e-7 * psi
+        psi /= np.linalg.norm(psi)
+        assert concurrence(np.outer(psi, psi.conj())) == pytest.approx(
+            pure_concurrence(psi), abs=1e-14
+        ), k
+
+
+def invalid_densities(rng: np.random.Generator, rho: np.ndarray) -> dict[str, object]:
+    """Each way a 4x4 input can fail to be a density, made from the valid ``rho``."""
+    i, j = (int(k) for k in rng.choice(4, size=2, replace=False))
+    skewed = rho.copy()
+    skewed[i, j] += 1e-6
+    weights, vectors = np.linalg.eigh(rho)
+    weights[0], weights[-1] = -1e-6, weights[-1] + weights[0] + 1e-6
+    negative = (vectors * weights) @ vectors.conj().T
+    bad = {"non-Hermitian": skewed, "trace": rho * 1.001, "negative eigenvalue": negative}
+    for value in (np.nan, np.inf, -np.inf):
+        broken = rho.copy()
+        broken[i, j] = value
+        bad[f"entry {value}"] = broken
+    bad.update(
+        {
+            "3x3": rho[:3, :3],
+            "4x3": rho[:, :3],
+            "stacked": np.stack([rho, rho]),
+            "flat": rho.ravel(),
+            "empty": np.zeros((0, 0)),
+            "strings of numbers": rho.astype(str),
+            "words": [["a"] * 4] * 4,
+        }
+    )
+    return bad
+
+
+def test_two_qubit_measures_give_a_float_in_0_1_or_a_validation_error():
+    # concurrence, purity and closest_bell on seeded random densities of every rank,
+    # and on each kind of invalid input made from them
+    rng = np.random.default_rng(5)
+    measures = {
+        "concurrence": concurrence,
+        "purity": purity,
+        "closest_bell": lambda rho: closest_bell(rho)[1],
+    }
+    for k in range(50):
+        rho = random_density(rng)
+        for name, measure in measures.items():
+            value = measure(rho)
+            assert type(value) in (float, np.float64) and 0.0 <= value <= 1.0, (name, k)
+            for kind, bad in invalid_densities(rng, rho).items():
+                with pytest.raises(ValidationError):
+                    measure(bad)
+                    pytest.fail(f"{name} accepted a {kind} input")
 
 
 def test_concurrence_accepts_density_matrix_objects():

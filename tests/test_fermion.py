@@ -29,6 +29,7 @@ from _helpers import random_custom_spec
 from _reference import basis_vec, chain_terms, couplings, covariance_ref, evolve_dense
 from _reference import krawtchouk_mirror, letters_dense, majorana_dense, majorana_word
 from _reference import nested_amplitudes, product_covariance, rdm, spec_hamiltonian, terms_generator
+from _reference import x_state_concurrence
 
 # a time away from t*, where nothing is a Bell pair
 T_OFF = 0.37
@@ -309,6 +310,39 @@ def test_report_matches_the_krylov_state_route(n):
         assert_report_matches_state(spec, t, initial, vec, 1e-9)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 0.05])
+def test_verify_concurrences_match_the_x_state_closed_form(scale):
+    # every mirror pair of verify for odd N up to 61: the state has a definite parity,
+    # so each pair density is an X-state and its concurrence has a closed form
+    for n in range(3, 62, 2):
+        rng = np.random.default_rng(n)
+        spec = ChainSpec(n, fields_b=tuple(scale * rng.uniform(-1.0, 1.0, size=n)))
+        report = verify_free_fermion(spec, T_STAR)
+        gamma = fermion._evolved_covariance(spec, T_STAR, InitialState.ALL0)
+        borders = fermion._carried_borders(gamma)
+        for pair in report.pair_reports:
+            p, q = pair.sites
+            expected = x_state_concurrence(fermion._pair_density(gamma, p, q, borders.get(p)))
+            assert pair.concurrence == pytest.approx(expected, abs=1e-13), (n, p)
+
+
+@pytest.mark.parametrize("initial", ["all0", "all1"])
+def test_concurrences_agree_across_routes(initial):
+    # with fields, the pair concurrences of the covariance route and of verify_matryoshka
+    # on the evolved state agree to rounding, also near 1
+    for n in range(3, 16, 2):
+        rng = np.random.default_rng(200 + n)
+        for scale in (1e-3, 0.05):
+            spec = ChainSpec(n, fields_b=tuple(scale * rng.uniform(-1.0, 1.0, size=n)))
+            state = StateVector(evolved_state(spec, T_STAR, initial, "auto"))
+            routes = (
+                verify_free_fermion(spec, T_STAR, initial),
+                verify_matryoshka(state, bell_schedule(n, initial)),
+            )
+            for fast, slow in zip(*(route.pair_reports for route in routes)):
+                assert fast.concurrence == pytest.approx(slow.concurrence, abs=1e-12), (n, scale)
+
+
 def test_verify_at_51_sites(tmp_path, capsys):
     out = tmp_path / "v.json"
     assert main(["verify", "--n", "51", "--out", str(out)]) == 0
@@ -457,7 +491,7 @@ def test_carried_elimination_falls_back_on_a_singular_inner_block(site):
 def test_perfect_transfer_bell_fidelity_is_zero_on_both_routes(tmp_path, capsys, n):
     # at t* no mirror pair of the perfect-transfer chain overlaps its scheduled Bell
     # state: <b|rho|b> is rounding on the covariance route and exactly 0 on the state
-    # route, and below the concurrence cutoff both report 0.0
+    # route, and below the Bell-fidelity cutoff both report 0.0
     docs = {}
     for command in ("verify", "generate"):
         out = tmp_path / f"{command}.json"
