@@ -194,7 +194,9 @@ class HamiltonianTerms:
         multiplied by i^Y(x, z) / i^Y(x >> 1, z'), Y counting the Y
         letters, and negated when z holds site 1 and p = 1: for
         Hermitian terms that factor is +-1.  Both propagators and U^dag P U
-        run on these sectors.  Built on first use.
+        run on these sectors; for an odd chain the eigen route
+        diagonalises only the even one and maps it onto the odd one
+        (``_chiral_signs``).  Built on first use.
         """
         n = self.n_sites
         idx = np.arange(1 << n, dtype=np.int64)
@@ -216,6 +218,36 @@ class HamiltonianTerms:
             )
             sectors.append((sector_idx, HamiltonianTerms(m, terms)))
         return tuple(sectors)
+
+    @functools.cached_property
+    def _chiral_signs(self) -> np.ndarray | None:
+        """Signs s that carry the even parity sector onto the odd one, or None.
+
+        W = prod_s X_s prod_{s odd} Z_s anticommutes with a Pauli string
+        when its Z and Y letters plus its X and Y letters on odd sites
+        number an odd count: with every nearest-neighbour XX or YY bond
+        and every Z field, since the chain is bipartite (Lieb, Schultz &
+        Mattis, Ann. Phys. 16, 407 (1961)).  For odd N, W flips every
+        spin and so swaps the two sectors of ``_parity_sectors``; in
+        sector indices H_odd = -M H_even M^T, where M reverses the index
+        (j -> 2^(N-1) - 1 - j) and scales position j by
+        s_j = (-1)^popcount(x_j & odd sites), x_j being the full index
+        at even-sector position j.  Then exp(-i H_odd t) =
+        M exp(+i H_even t) M^T, and one diagonalisation serves both
+        sectors.  None for an even chain, a term list that keeps one
+        sector, or a term that commutes with W.  Built on first use.
+        """
+        n = self.n_sites
+        odd = sum(1 << bit for bit in range(0, n, 2))  # sites 1, 3, 5, ...
+        if n % 2 == 0 or any(
+            (string.z_mask.bit_count() + (string.x_mask & odd).bit_count()) % 2 == 0
+            for _, string in self.terms
+        ):
+            return None
+        sectors = self._parity_sectors
+        if len(sectors) != 2:
+            return None
+        return _mask_action(PauliString(n, 0, odd), sectors[0][0])[1].real.copy()
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """H @ v on a raw amplitude array, one flip-and-scale per x_mask group."""

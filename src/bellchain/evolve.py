@@ -9,7 +9,11 @@ state does not touch.
 
 The eigen method diagonalises a sector once, on first use
 (``HamiltonianTerms._eigh``), and every exact evolution of states or
-operators under one Hamiltonian shares that diagonalisation.
+operators under one Hamiltonian shares that diagonalisation.  On an odd
+chain of nearest-neighbour bonds and Z fields it diagonalises the even
+sector alone: the chain's chiral symmetry carries it onto the odd one
+(``HamiltonianTerms._chiral_signs``), so one diagonalisation serves the
+whole chain.
 
 The sectors are orthogonal, so the Krylov method's error of the whole
 is bounded by the sectors' bounds scaled by their norms.  In each
@@ -104,10 +108,12 @@ class Propagator:
     Both methods evolve each Z-parity sector the state touches on its
     own, on 2^(N-1) amplitudes.  The eigen method uses the sector's
     cached diagonalisation (``HamiltonianTerms._eigh``, built on first
-    use).  The Krylov method (plain Lanczos, stepped as the module
-    docstring describes) uses a basis of at most 40 vectors; it
-    refuses a chain whose ``40 * 2^N * 16`` bytes, twice the basis of
-    one sector, exceed physical memory.  Its error target, 1e-10,
+    use); on a chain the odd sector uses the even sector's instead,
+    through the chiral map, so a state that fills both sectors costs
+    one diagonalisation.  The Krylov method (plain Lanczos, stepped as
+    the module docstring describes) uses a basis of at most 40 vectors;
+    it refuses a chain whose ``40 * 2^N * 16`` bytes, twice the basis
+    of one sector, exceed physical memory.  Its error target, 1e-10,
     bounds the sum of the steps' a-posteriori estimates over the whole
     evolution.
     """
@@ -133,7 +139,9 @@ class Propagator:
     def evolve(self, state: StateVector, t: float) -> StateVector:
         """exp(-iHt)|v>, one parity sector the state touches at a time.
 
-        Deterministic and norm-preserving.  Raises BellchainError when the
+        On the eigen route a chain's odd sector is evolved by the even
+        sector's diagonalisation at -t, between two applications of the
+        chiral map.  Deterministic and norm-preserving.  Raises BellchainError when the
         result is not finite, which happens when the Hamiltonian or the
         time overflows double precision.
         """
@@ -143,18 +151,53 @@ class Propagator:
             )
         t = _check_real("time", t)
         amps = np.zeros(state.dim, dtype=complex)
-        for idx, sector in self.hamiltonian._parity_sectors:
+        for p, (idx, sector) in enumerate(self.hamiltonian._parity_sectors):
             part = state.amplitudes[idx]
             if not part.any():
                 continue
             if self.method == "eigen":
-                w, v = sector._eigh
-                amps[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ part))
+                amps[idx] = _eigen_expm(self.hamiltonian, p, t, part)
             else:
                 amps[idx] = _krylov_expm(sector.apply, part, t)
         if not np.isfinite(amps).all():
             raise BellchainError(_NOT_FINITE)
         return StateVector._trusted(state.n_sites, amps)
+
+
+def _eigen_expm(
+    hamiltonian: HamiltonianTerms, p: int, t: float, part: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-iH_p t) on parity sector ``p``: applied to ``part``, or as a matrix if that is None.
+
+    H_p = V diag(w) V^dag comes from the sector's cached diagonalisation
+    (``HamiltonianTerms._eigh``).  The odd sector of a chain with
+    ``_chiral_signs`` s uses the even sector's instead:
+    U_odd(t) = M U_even(-t) M^T, with M reversing the index and scaling
+    it by s.
+    """
+    signs = hamiltonian._chiral_signs if p else None
+    if signs is not None:
+        if part is None:
+            return (np.outer(signs, signs) * _eigen_expm(hamiltonian, 0, -t))[::-1, ::-1]
+        return (signs * _eigen_expm(hamiltonian, 0, -t, signs * part[::-1]))[::-1]
+    w, v = hamiltonian._parity_sectors[p][1]._eigh
+    phases = np.exp(-1j * w * t)
+    if part is None:
+        return _times(v, phases[:, None] * v.conj().T)
+    return _times(v, phases * _times(v.conj().T, part))
+
+
+def _times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a complex vector or matrix z.
+
+    A real ``a`` (every chain sector's eigenvectors) multiplies the
+    interleaved real and imaginary parts of z as one real array, so it
+    is never cast to a complex copy.
+    """
+    if np.iscomplexobj(a):
+        return a @ z
+    pairs = np.ascontiguousarray(z).view(np.float64).reshape(z.shape[0], -1)
+    return (a @ pairs).view(complex).reshape(a.shape[0], *z.shape[1:])
 
 
 def _krylov_expm(
@@ -258,10 +301,11 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
 def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: float) -> np.ndarray:
     """U(t)^dag P U(t) as a dense 2^N x 2^N matrix, for up to 8 sites.
 
-    U(t) is assembled sector by sector from each parity sector's cached
-    diagonalisation, which the eigen :class:`Propagator` shares, so both
-    sectors are diagonalised whatever the state.  Raises BellchainError
-    when the result is not finite.
+    U(t) is assembled sector by sector from the cached diagonalisations
+    that the eigen :class:`Propagator` shares.  On a chain only the even
+    sector is diagonalised: the odd block is the even one at -t,
+    reversed on both axes and scaled by s s^T (s the chiral signs).
+    Raises BellchainError when the result is not finite.
     """
     n = hamiltonian.n_sites
     if n > _DENSE_OPERATOR_MAX_SITES:
@@ -272,9 +316,8 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
         raise DimensionMismatchError("operator length does not match the Hamiltonian")
     t = _check_real("time", t)
     u = np.zeros((1 << n, 1 << n), dtype=complex)
-    for idx, sector in hamiltonian._parity_sectors:
-        w, v = sector._eigh
-        u[np.ix_(idx, idx)] = v @ (np.exp(-1j * w * t)[:, None] * v.conj().T)
+    for p, (idx, _) in enumerate(hamiltonian._parity_sectors):
+        u[np.ix_(idx, idx)] = _eigen_expm(hamiltonian, p, t)
     evolved = u.conj().T @ pauli.dense() @ u
     if not np.isfinite(evolved).all():
         raise BellchainError(_NOT_FINITE)

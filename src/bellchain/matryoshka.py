@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
 from .pauli import _TIE_TOL, DensityMatrix, PauliString, StateVector, _check_chain_length
 from .pauli import _check_int, _check_site, _complex_array, _mask_action, concurrence, purity
-from .pauli import _density_array, reduced_density
+from .pauli import _HERM_TOL, _density_array, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 # Bell overlaps <b|rho|b> below this are rounding, counted as 0
@@ -74,7 +74,8 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
     """Best-matching Bell label for a pure 4-vector or a 4x4 density.
 
     Returns the label and the fidelity: |<b|psi>| for vectors,
-    sqrt(<b|rho|b>) for densities (checked within 1e-12).  Ties keep
+    sqrt(<b|rho|b>) for densities.  A vector must have norm 1 and a
+    density must be one, each within 1e-12.  Ties keep
     the first label in enum order, so the result is deterministic.
     """
     pair = _complex_array(pair, "pair")
@@ -84,6 +85,8 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
         raise ValidationError(f"expected a 4-vector or 4x4 matrix, got shape {pair.shape}")
     elif not np.isfinite(pair).all():
         raise ValidationError("pair entries must be finite")
+    elif abs((norm := np.linalg.norm(pair)) - 1.0) > _HERM_TOL:
+        raise ValidationError(f"pair state norm {norm} deviates from 1 beyond 1e-12")
     fidelities = {
         label: abs(np.vdot(b, pair)) if pair.ndim == 1 else _mixed_bell_fidelity(b, pair)
         for label, b in _BELL_TABLE.items()

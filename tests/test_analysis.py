@@ -165,6 +165,19 @@ def test_two_qubit_measures_give_a_float_in_0_1_or_a_validation_error():
                 with pytest.raises(ValidationError):
                     measure(bad)
                     pytest.fail(f"{name} accepted a {kind} input")
+    # closest_bell also takes a pure 4-vector, which must have norm 1 within 1e-12
+    for k in range(50):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi = raw / np.linalg.norm(raw)
+        for scale in (1.0, 1.0 + 1e-13, 1.0 - 1e-13):
+            value = closest_bell(scale * psi)[1]
+            assert type(value) in (float, np.float64) and 0.0 <= value <= 1.0, (scale, k)
+        for scale in (2.0, 0.5, 1.0 + 1e-9, 1.0 - 1e-9, 0.0):
+            with pytest.raises(ValidationError):
+                closest_bell(scale * psi)
+                pytest.fail(f"closest_bell accepted a vector of norm {scale}")
+    with pytest.raises(ValidationError):
+        closest_bell(2 * bell_state(BellLabel.PSI_PLUS))
 
 
 def test_concurrence_accepts_density_matrix_objects():

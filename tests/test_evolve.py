@@ -131,6 +131,8 @@ def test_eigen_blocks_follow_the_terms(h, n_sectors, dtype):
     assert sorted(np.concatenate([idx for idx, _ in sectors])) == list(range(8))
     if n_sectors == 1:
         assert sectors[0][1] is h  # a parity-breaking term list keeps H on the full space
+    # each list breaks the parity or has a term that commutes with the chiral map's W
+    assert h._chiral_signs is None
     dense = h.dense()
     for idx, sector in sectors:
         assert sector.n_sites == 4 - n_sectors
@@ -321,6 +323,130 @@ def test_parity_sectors_are_exact_slices_at_11_sites():
         np.testing.assert_array_equal(sector.dense(), dense[np.ix_(idx, idx)])
 
 
+def _bipartite_spec(rng: np.random.Generator, n: int, pattern: Pattern) -> ChainSpec:
+    """A chain of ``pattern`` with seeded fields, one of them -0.0.
+
+    Custom couplings are seeded too, with a 0.0, a -0.0 and a negative one.
+    """
+    fields = rng.uniform(-1.0, 1.0, size=n)
+    fields[n // 2] = -0.0
+    if pattern is not Pattern.CUSTOM:
+        return ChainSpec(n, 1.3, pattern, tuple(fields))
+    j_x, j_y = rng.uniform(-1.5, 1.5, size=(2, n - 1))
+    j_x[0], j_y[-1], j_x[-1] = 0.0, -0.0, -abs(j_x[-1])
+    return ChainSpec(n, pattern=pattern, fields_b=tuple(fields), j_x=tuple(j_x), j_y=tuple(j_y))
+
+
+@pytest.mark.parametrize("pattern", list(Pattern))
+def test_odd_sector_is_the_even_one_under_the_chiral_map(pattern):
+    # W = prod_s X_s prod_{s odd} Z_s anticommutes with every bond and field, and for
+    # odd N it flips every spin, so H_odd = -M H_even M^T with M reversing the index
+    # and signing position j by (-1)^popcount(x_j & odd sites)
+    rng = np.random.default_rng(2800 + len(pattern.value))
+    for n in (3, 5, 7, 9, 11):
+        h = build_hamiltonian(_bipartite_spec(rng, n, pattern))
+        (even, h_even), (odd, h_odd) = h._parity_sectors
+        np.testing.assert_array_equal(odd, ((1 << n) - 1) ^ even[::-1])
+        odd_sites = sum(1 << bit for bit in range(0, n, 2))
+        signs = np.array([(-1.0) ** (int(x) & odd_sites).bit_count() for x in even])
+        np.testing.assert_array_equal(h._chiral_signs, signs)
+        mapped = -(np.outer(signs, signs) * h_even.dense())[::-1, ::-1]
+        assert np.array_equal(h_odd.dense(), mapped)
+
+
+@pytest.mark.parametrize("pattern", list(Pattern))
+def test_derived_odd_sector_evolution_matches_independent_routes(pattern):
+    # a state on the odd sector alone is evolved through the even sector's diagonalisation
+    rng = np.random.default_rng(2810 + len(pattern.value))
+    for n in (3, 5, 7, 9, 11):
+        spec = _bipartite_spec(rng, n, pattern)
+        h = build_hamiltonian(spec)
+        (even, _), (odd, h_odd) = h._parity_sectors
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[odd] = rng.normal(size=odd.size) + 1j * rng.normal(size=odd.size)
+        state = StateVector(amps / np.linalg.norm(amps))
+        propagator = Propagator(h, method="eigen")
+        w, v = np.linalg.eigh(h_odd.dense())
+        for t in (0.7, -0.7, 31.0):
+            out = propagator.evolve(state, t).amplitudes
+            direct = v @ (np.exp(-1j * w * t) * (v.T @ state.amplitudes[odd]))
+            np.testing.assert_allclose(out[odd], direct, rtol=0, atol=1e-12)
+            assert not out[even].any()
+            if n <= 9:
+                reference = evolve_dense(spec_hamiltonian(spec), state.amplitudes, t)
+                np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+
+
+def test_derived_odd_sector_holds_for_complex_sectors():
+    # XY - YX between the two odd sites anticommutes with W too, and makes both
+    # sectors complex: there U_even(-t) is not the conjugate of U_even(t)
+    terms = ((0.7, "YYI"), (0.9, "IXX"), (0.4, "XIY"), (-0.4, "YIX"), (0.3, "ZII"))
+    reference_h = terms_hamiltonian(3, terms)
+    h = HamiltonianTerms(3, tuple((w, PauliString.from_letters(letters)) for w, letters in terms))
+    assert h._chiral_signs is not None
+    assert h._parity_sectors[0][1]._eigh[1].dtype == np.complex128
+    state = random_state(np.random.default_rng(2820), 3)
+    for t in (0.7, -0.7, 31.0):
+        reference = evolve_dense(reference_h, state.amplitudes, t)
+        out = Propagator(h, method="eigen").evolve(state, t).amplitudes
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+        u = scipy.linalg.expm(-1j * t * reference_h)
+        expected = u.conj().T @ letters_dense("XIY") @ u
+        matrix = heisenberg_evolve(h, PauliString.from_letters("XIY"), t)
+        np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_heisenberg_evolution_matches_the_kronecker_reference(n):
+    rng = np.random.default_rng(2830 + n)
+    pad = "I" * (n - 4)
+    operators = ("XII" + pad + "X", "IY" + pad + "YI", "Z" * n, "XZII" + pad)
+    for pattern in Pattern:
+        spec = _bipartite_spec(rng, n, pattern)
+        h = build_hamiltonian(spec)
+        for t in (0.9, -2.3):
+            u = scipy.linalg.expm(-1j * t * spec_hamiltonian(spec))
+            for letters in operators:
+                expected = u.conj().T @ letters_dense(letters) @ u
+                matrix = heisenberg_evolve(h, PauliString.from_letters(letters), t)
+                np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-12)
+
+
+# term lists that W does not anticommute with: a ZZ bond, an XY bond, an even chain
+_CHAIN_5 = ((0.8, "XXIII"), (0.6, "IYYII"), (0.9, "IIXXI"), (0.7, "IIIYY"), (0.3, "ZIIII"))
+_NOT_BIPARTITE = [
+    _CHAIN_5 + ((0.5, "ZZIII"),),
+    _CHAIN_5 + ((0.4, "IXYII"),),
+    ((0.8, "XXII"), (0.6, "IYYI"), (0.9, "IIXX"), (0.3, "ZIII"), (-0.2, "IIZI")),
+]
+
+
+@pytest.mark.parametrize("terms", _NOT_BIPARTITE, ids=["zz-bond", "xy-bond", "even-length"])
+def test_term_lists_without_the_chiral_map_diagonalise_both_sectors(monkeypatch, terms):
+    sizes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    n = len(terms[0][1])
+    reference_h = terms_hamiltonian(n, terms)
+    h = HamiltonianTerms(n, tuple((w, PauliString.from_letters(letters)) for w, letters in terms))
+    assert h._chiral_signs is None and len(h._parity_sectors) == 2
+    if n % 2:  # a state has an odd number of sites; heisenberg_evolve takes any
+        state = random_state(np.random.default_rng(2840 + n), n)
+        out = Propagator(h, method="eigen").evolve(state, 0.7).amplitudes
+        reference = evolve_dense(reference_h, state.amplitudes, 0.7)
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+    letters = "X" + "I" * (n - 2) + "X"
+    u = scipy.linalg.expm(-0.7j * reference_h)
+    matrix = heisenberg_evolve(h, PauliString.from_letters(letters), 0.7)
+    np.testing.assert_allclose(matrix, u.conj().T @ letters_dense(letters) @ u, rtol=0, atol=1e-12)
+    assert sizes == [1 << (n - 1)] * 2
+
+
 def test_auto_method_picks_eigen_for_small_chains():
     h = build_hamiltonian(ChainSpec(3))
     propagator = Propagator(h)
@@ -343,11 +469,12 @@ def test_eigen_route_diagonalises_only_the_sectors_it_touches(monkeypatch):
     Propagator(build_hamiltonian(ChainSpec(9)), method="eigen").evolve(zero, 0.7)
     assert sizes == [256]
     sizes.clear()
-    # a Hadamard on the middle site fills both sectors
+    # a Hadamard on the middle site fills both sectors; the odd one follows from
+    # the even one's diagonalisation by the chain's chiral symmetry
     propagator = Propagator(build_hamiltonian(ChainSpec(9)), method="eigen")
     mixed = gate_apply(zero, 5, hadamard)
     propagator.evolve(mixed, 0.7)
-    assert sizes == [256, 256]
+    assert sizes == [256]
     sizes.clear()
     # the Hamiltonian keeps its sectors' diagonalisations
     propagator.evolve(mixed, -1.1)

@@ -184,6 +184,19 @@ def test_ghz_perturbed_matches_oracle():
     assert factor == pytest.approx(case["phase_factor"], abs=1e-9)
 
 
+def test_ghz_with_fields_matches_oracle():
+    # the Hadamard fills both parity sectors, so the second evolution takes the odd
+    # one from the even sector's diagonalisation
+    rng = np.random.default_rng(2850)
+    for n in (5, 7, 9):
+        fields = tuple(0.05 * rng.uniform(-1.0, 1.0, size=n))
+        case = ghz_ref(n, fields)
+        result = ghz_protocol(ChainSpec(n, fields_b=fields))
+        assert result.ghz_fidelity == pytest.approx(case["fidelity"], abs=1e-12)
+        factor = np.exp(1j * result.relative_phase)
+        assert factor == pytest.approx(case["phase_factor"], abs=1e-12)
+
+
 def test_ghz_phase_on_the_branch_cut_is_plus_pi():
     # zero-field N = 5 and 7 end on -|1..1>, where rounding picks the sign of pi
     for n in (5, 7):
