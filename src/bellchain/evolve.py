@@ -179,12 +179,21 @@ def _eigen_expm(
     if signs is not None:
         if part is None:
             return (np.outer(signs, signs) * _eigen_expm(hamiltonian, 0, -t))[::-1, ::-1]
-        return (signs * _eigen_expm(hamiltonian, 0, -t, signs * part[::-1]))[::-1]
+        return _chiral_map(signs, _eigen_expm(hamiltonian, 0, -t, signs * part[::-1]))
     w, v = hamiltonian._parity_sectors[p][1]._eigh
     phases = np.exp(-1j * w * t)
     if part is None:
         return _times(v, phases[:, None] * v.conj().T)
     return _times(v, phases * _times(v.conj().T, part))
+
+
+def _chiral_map(signs: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """M x: the chiral map W on even-sector amplitudes, in odd-sector indices.
+
+    M scales position j by ``signs[j]`` (``HamiltonianTerms._chiral_signs``)
+    and reverses the index; its transpose is ``signs * y[::-1]``.
+    """
+    return (signs * even)[::-1]
 
 
 def _times(a: np.ndarray, z: np.ndarray) -> np.ndarray:

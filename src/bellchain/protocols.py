@@ -10,7 +10,7 @@ import numpy as np
 
 from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
-from .evolve import Propagator, matryoshka_time
+from .evolve import Propagator, _chiral_map, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
 from .pauli import _TIE_TOL, DensityMatrix, StateVector, _check_int, _check_real, _partial_trace
 from .pauli import concurrence, gate_apply, purity, reduced_density
@@ -179,15 +179,15 @@ def conveyor_run(
 
 @dataclass(frozen=True)
 class GhzResult:
-    """Final state and phase-maximized GHZ fidelity."""
+    """Chain length and phase-maximized GHZ fidelity."""
 
-    state: StateVector
+    n_sites: int
     ghz_fidelity: float
     relative_phase: float
 
     def to_json_dict(self) -> dict:
         return {
-            "n_sites": self.state.n_sites,
+            "n_sites": self.n_sites,
             "ghz_fidelity": self.ghz_fidelity,
             "relative_phase": self.relative_phase,
         }
@@ -197,24 +197,33 @@ def ghz_protocol(spec: ChainSpec, t_star: float | None = None) -> GhzResult:
     """Evolve, Hadamard the central spin, evolve again.
 
     The reported fidelity is max over phi of the overlap with
-    (|0..0> + e^(i phi)|1..1>)/sqrt(2), which equals
-    (|a_first| + |a_last|)/sqrt(2); the maximizing phi comes along,
-    in (-pi, pi].
+    (|0..0> + e^(i phi)|1..1>)/sqrt(2), which equals (|a| + |b|)/sqrt(2)
+    for the final amplitudes a = <0..0|U H_c U|0..0> and
+    b = <1..1|U H_c U|0..0>; the maximizing phi comes along, in (-pi, pi].
+
+    Only the first evolution is carried out, on the even parity sector.
+    The chain is real symmetric in the Z basis, so U(t) = U(t)^T and
+    U(-t) = conj U(t); its chiral map W (``HamiltonianTerms._chiral_signs``)
+    sends |0..0> to |1..1> and gives U(t) W = W U(-t).  With
+    phi = U|0..0> and chi = H_c phi these give the two bilinear forms,
+    without conjugation, a = phi^T chi and b = (W conj(phi))^T chi.
     """
     if spec.pattern is not Pattern.MATRYOSHKA_ALTERNATING:
         raise ValidationError("the GHZ protocol requires the matryoshka coupling pattern")
     if t_star is None:
         t_star = matryoshka_time(spec.lam)
-    propagator = Propagator(build_hamiltonian(spec))
-    central = (spec.n_sites + 1) // 2
-    state = propagator.evolve(StateVector.zero_state(spec.n_sites), t_star)
-    state = gate_apply(state, central, _HADAMARD)
-    state = propagator.evolve(state, t_star)
-    a = complex(state.amplitudes[0])
-    b = complex(state.amplitudes[-1])
+    hamiltonian = build_hamiltonian(spec)
+    phi = Propagator(hamiltonian).evolve(StateVector.zero_state(spec.n_sites), t_star)
+    chi = gate_apply(phi, (spec.n_sites + 1) // 2, _HADAMARD).amplitudes
+    (even, _), (odd, _) = hamiltonian._parity_sectors
+    phi_even = phi.amplitudes[even]
+    # einsum sums in one thread, so a and b do not follow the BLAS thread count
+    a = complex(np.einsum("i,i->", phi_even, chi[even]))
+    w_phi = _chiral_map(hamiltonian._chiral_signs, phi_even.conj())
+    b = complex(np.einsum("i,i->", w_phi, chi[odd]))
     fidelity = min(1.0, (abs(a) + abs(b)) / np.sqrt(2.0))
     phase = cmath.phase(b * np.conj(a))
     # on the branch cut rounding picks the sign: report pi, never -pi
     if phase < _TIE_TOL - cmath.pi:
         phase = cmath.pi
-    return GhzResult(state, float(fidelity), float(phase))
+    return GhzResult(spec.n_sites, float(fidelity), float(phase))

@@ -442,14 +442,19 @@ def conveyor_ref(n: int, rounds: int) -> list[dict]:
     return records
 
 
-def ghz_ref(n: int, fields=None) -> dict:
-    """Evolve, Hadamard the central site, evolve again; lam = 1."""
+def ghz_state_ref(n: int, fields=None) -> np.ndarray:
+    """Evolve, Hadamard the central site, evolve again; lam = 1.  The final state."""
     if fields is None:
         u = t_star_unitary(n)
     else:
         u = expm(-1j * T_STAR * chain_hamiltonian(*couplings(n), fields))
     hadamard = letters_dense(letters_at(n, {(n + 1) // 2: "H"}))
-    state = u @ (hadamard @ (u @ basis_vec(n, 0)))
+    return u @ (hadamard @ (u @ basis_vec(n, 0)))
+
+
+def ghz_ref(n: int, fields=None) -> dict:
+    """Fidelity and branch phase factor of :func:`ghz_state_ref`'s final state."""
+    state = ghz_state_ref(n, fields)
     a = complex(state[0])
     b = complex(state[-1])
     fidelity = (abs(a) + abs(b)) / math.sqrt(2.0)

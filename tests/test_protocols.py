@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bellchain.evolve
 import bellchain.protocols
 from bellchain import (
     BellLabel,
@@ -16,12 +17,19 @@ from bellchain import (
     closest_bell,
     conveyor_run,
     extract_pair,
+    gate_apply,
     ghz_protocol,
     ideal_matryoshka_state,
     matryoshka_time,
     reduced_density,
 )
-from _reference import REFERENCE_RATIOS, conveyor_ref, ghz_ref, perturbed_extraction_ref
+from _reference import (
+    REFERENCE_RATIOS,
+    conveyor_ref,
+    ghz_ref,
+    ghz_state_ref,
+    perturbed_extraction_ref,
+)
 
 
 def evolved(spec: ChainSpec) -> StateVector:
@@ -185,8 +193,8 @@ def test_ghz_perturbed_matches_oracle():
 
 
 def test_ghz_with_fields_matches_oracle():
-    # the Hadamard fills both parity sectors, so the second evolution takes the odd
-    # one from the even sector's diagonalisation
+    # with fields the chain stays real and chiral, so both branch amplitudes still
+    # come from the one even-sector evolution
     rng = np.random.default_rng(2850)
     for n in (5, 7, 9):
         fields = tuple(0.05 * rng.uniform(-1.0, 1.0, size=n))
@@ -204,12 +212,70 @@ def test_ghz_phase_on_the_branch_cut_is_plus_pi():
 
 
 def test_ghz_state_components():
-    # the final state concentrates on |00..0> and |11..1>
-    result = ghz_protocol(ChainSpec(5))
-    amps = result.state.amplitudes
+    # the reference final state concentrates on |00..0> and |11..1>, and the
+    # protocol scores exactly those two amplitudes
+    amps = ghz_state_ref(5)
     assert abs(amps[0]) == pytest.approx(1 / np.sqrt(2), abs=1e-8)
     assert abs(amps[-1]) == pytest.approx(1 / np.sqrt(2), abs=1e-8)
     assert np.linalg.norm(amps[1:-1]) < 1e-8
+    result = ghz_protocol(ChainSpec(5))
+    assert result.n_sites == 5
+    assert result.ghz_fidelity == pytest.approx((abs(amps[0]) + abs(amps[-1])) / np.sqrt(2), abs=1e-12)
+    factor = np.exp(1j * result.relative_phase)
+    cross = amps[-1] * np.conj(amps[0])
+    assert factor == pytest.approx(cross / abs(cross), abs=1e-12)
+
+
+def _two_evolution_krylov_ghz(spec: ChainSpec) -> tuple[float, complex]:
+    """Fidelity and phase factor from both evolutions on the Krylov route."""
+    propagator = Propagator(build_hamiltonian(spec), method="krylov")
+    t = matryoshka_time(spec.lam)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    state = propagator.evolve(StateVector.zero_state(spec.n_sites), t)
+    state = propagator.evolve(gate_apply(state, (spec.n_sites + 1) // 2, hadamard), t)
+    a, b = complex(state.amplitudes[0]), complex(state.amplitudes[-1])
+    cross = b * np.conj(a)
+    return (abs(a) + abs(b)) / np.sqrt(2.0), cross / abs(cross)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 0.05])
+def test_one_sector_ghz_matches_two_evolution_references(scale):
+    rng = np.random.default_rng(29)
+    for n in (3, 5, 7, 9, 11, 13):
+        fields = tuple(scale * rng.uniform(-1.0, 1.0, size=n))
+        result = ghz_protocol(ChainSpec(n, fields_b=fields))
+        factor = np.exp(1j * result.relative_phase)
+        if n <= 9:
+            case = ghz_ref(n, fields)
+            assert result.ghz_fidelity == pytest.approx(case["fidelity"], abs=1e-12)
+            assert factor == pytest.approx(case["phase_factor"], abs=1e-12)
+        else:
+            fidelity, phase_factor = _two_evolution_krylov_ghz(ChainSpec(n, fields_b=fields))
+            assert result.ghz_fidelity == pytest.approx(fidelity, abs=1e-9)
+            assert factor == pytest.approx(phase_factor, abs=1e-9)
+
+
+def test_ghz_evolves_one_parity_sector(monkeypatch):
+    eigen_sectors, krylov_sizes = [], []
+    eigen_expm, krylov_expm = bellchain.evolve._eigen_expm, bellchain.evolve._krylov_expm
+
+    def eigen_recorded(hamiltonian, p, *args):
+        eigen_sectors.append(p)
+        return eigen_expm(hamiltonian, p, *args)
+
+    def krylov_recorded(apply_h, amplitudes, t):
+        krylov_sizes.append(amplitudes.size)
+        return krylov_expm(apply_h, amplitudes, t)
+
+    monkeypatch.setattr(bellchain.evolve, "_eigen_expm", eigen_recorded)
+    monkeypatch.setattr(bellchain.evolve, "_krylov_expm", krylov_recorded)
+    # eigen up to 12 sites: only the even sector of |0..0>, once
+    ghz_protocol(ChainSpec(9, fields_b=(0.01,) * 9))
+    assert (eigen_sectors, krylov_sizes) == ([0], [])
+    eigen_sectors.clear()
+    # Krylov beyond: one sector of 2^12 amplitudes
+    ghz_protocol(ChainSpec(13))
+    assert (eigen_sectors, krylov_sizes) == ([], [1 << 12])
 
 
 def test_ghz_validation():
