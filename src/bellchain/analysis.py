@@ -16,7 +16,6 @@ its own fields.  No state is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -86,8 +85,8 @@ def field_sweep(
         raise ValidationError("b3 ratios must lie in [0, 0.1]")
     t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
     axis = tuple(np.linspace(0.0, 0.1, grid_points))
-    j_edge = base.lam * math.sqrt(base.n_sites - 1)
     j_x, j_y = base.couplings()
+    j_edge = j_y[0]
     # checks the route's size against memory once, for every point of the sweep
     reference = _evolved_covariance(base, t_star, InitialState.ALL0)
     results = []
@@ -143,7 +142,7 @@ def reference_point_fidelity(
         raise ValidationError("field scale must be nonnegative")
     base = ChainSpec(3, lam)
     t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
-    j_edge = base.lam * math.sqrt(2.0)
+    j_edge = base.couplings()[1][0]
     perturbed = replace(base, fields_b=tuple(scale * r * j_edge for r in REFERENCE_FIELD_RATIOS))
     return _gaussian_fidelity(
         _evolved_covariance(base, t_star, InitialState.ALL0),

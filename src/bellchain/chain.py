@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliString, _check_chain_length, _check_int, _check_real, _check_reals
-from .pauli import _mask_action, _parse_reals, _shown
+from .pauli import PauliString, _check_chain_length, _check_choice, _check_int, _check_real
+from .pauli import _check_reals, _mask_action, _parse_reals, _shown
 
 
 class Pattern(enum.Enum):
@@ -83,10 +83,8 @@ class ChainSpec:
         if len(fields) != n:
             raise ValidationError(f"fields_b must have length {n}, got {len(fields)}")
         object.__setattr__(self, "fields_b", fields)
-        try:
-            object.__setattr__(self, "pattern", Pattern(self.pattern))
-        except ValueError:
-            raise ValidationError(f"unknown coupling pattern {_shown(self.pattern)}") from None
+        pattern = _check_choice(Pattern, self.pattern, "coupling pattern")
+        object.__setattr__(self, "pattern", pattern)
         if self.pattern is Pattern.CUSTOM:
             if self.j_x is None or self.j_y is None:
                 raise ValidationError("custom pattern requires explicit j_x and j_y arrays")
@@ -106,7 +104,7 @@ class ChainSpec:
             else:
                 couplings = matryoshka_couplings(n, lam)
             # every bond carries its perfect-transfer strength in J_X or J_Y
-            if not math.isfinite(max(couplings[0] + couplings[1])):
+            if not math.isfinite(max(map(max, couplings))):
                 raise ValidationError(f"coupling scale {lam!r} overflows the largest coupling")
         # not a dataclass field: equality, hash and repr stay those of the fields
         object.__setattr__(self, "_couplings", couplings)
@@ -126,8 +124,9 @@ class HamiltonianTerms:
     def __post_init__(self):
         object.__setattr__(self, "n_sites", _check_int("n_sites", self.n_sites))
         terms = tuple((_check_real("term weight", w), string) for w, string in self.terms)
-        if any(string.n_sites != self.n_sites for _, string in terms):
-            raise ValidationError("term length does not match the chain")
+        for _, string in terms:
+            if not isinstance(string, PauliString) or string.n_sites != self.n_sites:
+                raise ValidationError(f"term {_shown(string)} is not a PauliString on the chain")
         object.__setattr__(self, "terms", terms)
 
     @functools.cached_property
@@ -304,17 +303,26 @@ def build_hamiltonian(spec: ChainSpec) -> HamiltonianTerms:
 _CONFIG_KEYS = ("n_sites", "lambda", "pattern", "b_fields", "j_x", "j_y")
 
 
+def _config_fields(spec: ChainSpec) -> dict:
+    """The spec under its config names, in file order: the keys of config files and JSON configs."""
+    fields = {
+        "n_sites": spec.n_sites,
+        "lambda": spec.lam,
+        "pattern": spec.pattern.value,
+        "b_fields": spec.fields_b,
+    }
+    if spec.pattern is Pattern.CUSTOM:
+        fields["j_x"] = spec.j_x
+        fields["j_y"] = spec.j_y
+    return fields
+
+
 def save_chain_config(spec: ChainSpec, path: str) -> None:
     """Write a ChainSpec as a key = value text file (lossless)."""
     lines = [
-        f"n_sites = {spec.n_sites}",
-        f"lambda = {spec.lam!r}",
-        f"pattern = {spec.pattern.value}",
-        "b_fields = " + ", ".join(repr(b) for b in spec.fields_b),
+        f"{key} = {', '.join(map(repr, value)) if isinstance(value, tuple) else value}"
+        for key, value in _config_fields(spec).items()
     ]
-    if spec.pattern is Pattern.CUSTOM:
-        lines.append("j_x = " + ", ".join(repr(j) for j in spec.j_x))
-        lines.append("j_y = " + ", ".join(repr(j) for j in spec.j_y))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -348,12 +356,7 @@ def load_chain_config(path: str) -> ChainSpec:
         fields = _parse_reals("b_fields", raw["b_fields"]) if raw.get("b_fields") else ()
         j_x = _parse_reals("j_x", raw["j_x"]) if "j_x" in raw else None
         j_y = _parse_reals("j_y", raw["j_y"]) if "j_y" in raw else None
+        pattern = raw.get("pattern", Pattern.MATRYOSHKA_ALTERNATING)
+        return ChainSpec(n_sites, lam, pattern, fields, j_x=j_x, j_y=j_y)
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    pattern_value = raw.get("pattern", Pattern.MATRYOSHKA_ALTERNATING.value)
-    try:
-        pattern = Pattern(pattern_value)
-    except ValueError:
-        choices = ", ".join(p.value for p in Pattern)
-        raise ValidationError(f"{path}: pattern must be one of {choices}") from None
-    return ChainSpec(n_sites, lam, pattern, fields, j_x=j_x, j_y=j_y)

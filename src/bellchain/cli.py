@@ -5,7 +5,8 @@ object in JSON files, a leading comment line in CSV files) and uses
 fixed float formatting, so identical invocations produce byte-identical
 outputs.  Exit codes: 0 success, 2 validation problem (including
 non-finite numbers, a coupling scale whose largest coupling overflows
-or whose t* underflows to 0, and unreadable or unwritable files),
+or whose t* underflows to 0, a size the host's memory cannot hold, and
+unreadable or unwritable files),
 3 numerical contract violation (non-convergence, a non-finite result,
 impure boundary pair, failed linear algebra).
 """
@@ -27,7 +28,7 @@ from .analysis import (
     sweep_summary,
     sweep_to_csv,
 )
-from .chain import ChainSpec, Pattern, build_hamiltonian, load_chain_config
+from .chain import ChainSpec, Pattern, _config_fields, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
 from .evolve import Propagator, matryoshka_time
 from .fermion import verify_free_fermion
@@ -118,7 +119,7 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
     elif args.n is None:
         raise ValidationError("chain length required: pass --n or --config")
     else:
-        base = ChainSpec(args.n)
+        base = ChainSpec  # the flag defaults are the spec's own field defaults
     n = args.n if args.n is not None else base.n_sites
     lam = args.lam if args.lam is not None else base.lam
     pattern = Pattern(args.pattern) if args.pattern else base.pattern
@@ -129,26 +130,14 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
 
 
 def _spec_config_dict(spec: ChainSpec, t_star: float, extra: dict | None = None) -> dict:
-    config = {
-        "n_sites": spec.n_sites,
-        "lambda": spec.lam,
-        "pattern": spec.pattern.value,
-        "b_fields": list(spec.fields_b),
-        "t_star": t_star,
-    }
-    if spec.pattern is Pattern.CUSTOM:
-        config["j_x"] = list(spec.j_x)
-        config["j_y"] = list(spec.j_y)
-    if extra:
-        config.update(extra)
-    return config
+    return {**_config_fields(spec), "t_star": t_star, **(extra or {})}
 
 
 def _config_comment(config: dict) -> str:
     parts = []
     for key in sorted(config):
         value = config[key]
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             rendered = ",".join(repr(v) for v in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
@@ -332,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except (BellchainError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

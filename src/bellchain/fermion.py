@@ -57,7 +57,7 @@ from .matryoshka import (
     _pair_report,
     bell_schedule,
 )
-from .pauli import _LETTER_MATRICES, DensityMatrix, _check_real
+from .pauli import _LETTER_MATRICES, DensityMatrix, _check_choice, _check_real
 
 # the route's memory in 2N x 2N matrices of 16 bytes an entry, each the room of two
 # real ones: R, O E^T and its transpose, Gamma, and the carried elimination's copy
@@ -327,8 +327,10 @@ def verify_free_fermion(
     state route to rounding; the cost grows as a power of N, not as 2^N.
     """
     t = _check_real("time", t)
+    initial = _check_choice(InitialState, initial, "initial state")
+    # the route's memory check comes before the schedule, whose pairs grow with N
+    gamma = _evolved_covariance(spec, t, initial)
     schedule = bell_schedule(spec.n_sites, initial)
-    gamma = _evolved_covariance(spec, t, InitialState(initial))
     borders = _carried_borders(gamma)
     reports = []
     for (p, q), label in schedule.pairs:

@@ -20,8 +20,8 @@ from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
 from .pauli import _TIE_TOL, DensityMatrix, PauliString, StateVector, _check_chain_length
-from .pauli import _check_int, _check_site, _complex_array, _mask_action, concurrence, purity
-from .pauli import _HERM_TOL, _density_array, reduced_density
+from .pauli import _check_choice, _check_int, _check_site, _complex_array, _mask_action
+from .pauli import _HERM_TOL, _density_array, concurrence, purity, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 # Bell overlaps <b|rho|b> below this are rounding, counted as 0
@@ -54,9 +54,9 @@ _BELL_TABLE = {
 }
 
 
-def bell_state(label: BellLabel) -> np.ndarray:
+def bell_state(label: BellLabel | str) -> np.ndarray:
     """4-amplitude vector of a Bell state, |b_p b_q> basis order."""
-    return _BELL_TABLE[label].copy()
+    return _BELL_TABLE[_check_choice(BellLabel, label, "Bell label")].copy()
 
 
 def _mixed_bell_fidelity(b: np.ndarray, rho: np.ndarray) -> float:
@@ -115,7 +115,10 @@ class MatryoshkaSchedule:
             raise ValidationError("central value must be 0 or 1")
         object.__setattr__(self, "central_value", central_value)
         pairs = tuple(
-            ((_check_int("pair site", p), _check_int("pair site", q)), label)
+            (
+                (_check_int("pair site", p), _check_int("pair site", q)),
+                _check_choice(BellLabel, label, "Bell label"),
+            )
             for (p, q), label in self.pairs
         )
         object.__setattr__(self, "pairs", pairs)
@@ -153,10 +156,7 @@ def bell_schedule(n_sites: int, initial: InitialState | str = InitialState.ALL0)
     1 for an even one; starting from all-up flips it.
     """
     n_sites = _check_chain_length(n_sites)
-    try:
-        initial = InitialState(initial)
-    except ValueError:
-        raise ValidationError(f"unknown initial state {initial!r}") from None
+    initial = _check_choice(InitialState, initial, "initial state")
     central = (n_sites + 1) // 2
     central_value = (central + 1) % 2 ^ (initial is InitialState.ALL1)
     pairs = tuple(
@@ -168,7 +168,7 @@ def bell_schedule(n_sites: int, initial: InitialState | str = InitialState.ALL0)
 
 def bell_product_amplitudes(
     n_sites: int,
-    labeled_pairs: Sequence[tuple[int, int, BellLabel]],
+    labeled_pairs: Sequence[tuple[int, int, BellLabel | str]],
     central_site: int,
     central_value: int,
 ) -> np.ndarray:
@@ -184,7 +184,7 @@ def bell_product_amplitudes(
         p, q = _check_site(p, n_sites), _check_site(q, n_sites)
         bp = (idx >> (p - 1)) & 1
         bq = (idx >> (q - 1)) & 1
-        amps *= _BELL_TABLE[label][(bp << 1) | bq]
+        amps *= _BELL_TABLE[_check_choice(BellLabel, label, "Bell label")][(bp << 1) | bq]
     bc = (idx >> (central_site - 1)) & 1
     amps *= bc == central_value
     return amps

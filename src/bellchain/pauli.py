@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import enum
 import math
 import numbers
 import operator
@@ -90,8 +91,8 @@ class PauliString:
         for pos, letter in enumerate(letters):
             try:
                 xb, zb = _LETTER_BITS[letter.upper()]
-            except KeyError:
-                raise ValidationError(f"unknown Pauli letter {letter!r}") from None
+            except (KeyError, AttributeError):  # AttributeError: not a string
+                raise ValidationError(f"unknown Pauli letter {_shown(letter)}") from None
             x_mask |= xb << pos
             z_mask |= zb << pos
         return cls(len(letters), x_mask, z_mask)
@@ -199,6 +200,7 @@ class StateVector:
         ties are broken by basis index, so rounding noise cannot reorder
         components of equal weight.
         """
+        tol = _check_real("tol", tol)
         mags = np.abs(self._amps)
         kept = np.flatnonzero(mags > tol)
         kept = kept[np.argsort(-mags[kept], kind="stable")]
@@ -252,6 +254,14 @@ def _check_real(name: str, value) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ValidationError(f"{name} must be finite and real, got {_shown(value)}")
+
+
+def _check_choice(kind: type[enum.Enum], value, name: str) -> enum.Enum:
+    """``value`` as a member of the enum ``kind``: the member itself or its value."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValidationError(f"unknown {name} {_shown(value)}") from None
 
 
 def _check_reals(name: str, values) -> tuple[float, ...]:

@@ -12,13 +12,13 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, _chiral_map, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, DensityMatrix, StateVector, _check_int, _check_real, _partial_trace
+from .pauli import _TIE_TOL, StateVector, _check_int, _check_real, _partial_trace
 from .pauli import concurrence, gate_apply, purity, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 _PURITY_TOL = 1e-6
-_Z_SEP_PURITY_TOL = 1e-8
-_Z_SEP_POLARIZATION_TOL = 1e-6
+# the inner chain is Z-basis separable when its largest amplitude a has |a|^2 >= 1 - this
+_Z_SEP_TOL = 1e-8
 _MATRYOSHKA_FIDELITY_THRESHOLD = 0.999
 
 
@@ -36,13 +36,15 @@ class ExtractionResult:
     ``fidelity`` is the overlap of the input with the factorized
     pair (x) rest product actually used, so it is 1 up to rounding
     when the purity precondition holds and quantifies the loss under
-    a forced extraction.
+    a forced extraction.  ``purity`` and ``concurrence`` are the
+    boundary pair's, before the swap.
     """
 
     pair_state: np.ndarray = field(repr=False)
     chain_after: StateVector
     purity: float
     fidelity: float
+    concurrence: float
 
 
 def extract_pair(state: StateVector, force: bool = False) -> ExtractionResult:
@@ -54,12 +56,8 @@ def extract_pair(state: StateVector, force: bool = False) -> ExtractionResult:
     ``force`` is set, in which case the state is projected onto the
     dominant pair factor and the recorded fidelity drops below 1.
     """
-    return _extract(state, reduced_density(state, (1, state.n_sites)), force)
-
-
-def _extract(state: StateVector, rho: DensityMatrix, force: bool = False) -> ExtractionResult:
-    """:func:`extract_pair` given the boundary pair's reduced density ``rho``."""
     n = state.n_sites
+    rho = reduced_density(state, (1, n))
     pair_purity = purity(rho)
     if not force and pair_purity < 1.0 - _PURITY_TOL:
         raise PairNotPureError(pair_purity, 1.0 - _PURITY_TOL)
@@ -79,30 +77,27 @@ def _extract(state: StateVector, rho: DensityMatrix, force: bool = False) -> Ext
     rest = projected / overlap
     amps_after = np.zeros(1 << n, dtype=complex)
     amps_after[np.arange(1 << (n - 2)) << 1] = rest
-    return ExtractionResult(pair, StateVector(amps_after), pair_purity, overlap)
+    return ExtractionResult(pair, StateVector(amps_after), pair_purity, overlap, concurrence(rho))
 
 
 def _classify_internal(inner: np.ndarray, n_inner: int) -> tuple[ChainClass, float]:
-    """Class and fidelity of the non-boundary chain after extraction."""
-    polarizations = []
-    pure_sites = True
-    for site in range(1, n_inner + 1):
-        rho = _partial_trace(inner, n_inner, (site,))
-        z = float(np.real(rho[0, 0] - rho[1, 1]))
-        polarizations.append(z)
-        if purity(rho) < 1.0 - _Z_SEP_PURITY_TOL:
-            pure_sites = False
-    if pure_sites and all(abs(z) >= 1.0 - _Z_SEP_POLARIZATION_TOL for z in polarizations):
-        index = sum((z < 0) << (site - 1) for site, z in enumerate(polarizations, start=1))
-        return ChainClass.Z_BASIS_SEPARABLE, float(abs(inner[index]))
+    """Class and fidelity of the non-boundary chain: its overlap with a candidate state.
+
+    The Z-basis candidate is the basis state of the largest amplitude a;
+    the nested-Bell one pairs each mirror pair's closest Bell state with
+    a's central spin.
+    """
+    index = int(np.argmax(np.abs(inner)))
+    top = float(abs(inner[index]))
+    if top * top >= 1.0 - _Z_SEP_TOL:
+        return ChainClass.Z_BASIS_SEPARABLE, top
     central = (n_inner + 1) // 2
-    central_value = 0 if polarizations[central - 1] > 0 else 1
     labeled = []
     for p in range(1, (n_inner - 1) // 2 + 1):
         q = n_inner - p + 1
         label, _ = closest_bell(_partial_trace(inner, n_inner, (p, q)))
         labeled.append((p, q, label))
-    candidate = bell_product_amplitudes(n_inner, labeled, central, central_value)
+    candidate = bell_product_amplitudes(n_inner, labeled, central, (index >> (central - 1)) & 1)
     fidelity = float(abs(np.vdot(candidate, inner)))
     if fidelity < _MATRYOSHKA_FIDELITY_THRESHOLD:
         raise BellchainError(
@@ -156,8 +151,7 @@ def conveyor_run(
     records = []
     for round_index in range(1, rounds + 1):
         state = propagator.evolve(state, t_star)
-        boundary = reduced_density(state, (1, spec.n_sites))
-        extraction = _extract(state, boundary)
+        extraction = extract_pair(state)
         label, label_fidelity = closest_bell(extraction.pair_state)
         inner_dim = 1 << (spec.n_sites - 2)
         inner = extraction.chain_after.amplitudes[np.arange(inner_dim) << 1]
@@ -168,7 +162,7 @@ def conveyor_run(
                 extraction.pair_state,
                 label,
                 label_fidelity,
-                concurrence(boundary),
+                extraction.concurrence,
                 chain_class,
                 internal_fidelity,
             )

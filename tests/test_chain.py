@@ -220,6 +220,45 @@ def test_config_round_trip_custom(tmp_path):
     assert load_chain_config(str(path)) == original
 
 
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (
+            ChainSpec(5, 0.37, Pattern.PERFECT_TRANSFER, (0.1, -0.2, 0.3, 0.0, 1e-3)),
+            "n_sites = 5\nlambda = 0.37\npattern = perfect-transfer\n"
+            "b_fields = 0.1, -0.2, 0.3, 0.0, 0.001\n",
+        ),
+        (
+            ChainSpec(3, pattern=Pattern.CUSTOM, j_x=(1.5, 0.0), j_y=(0.0, 2.25)),
+            "n_sites = 3\nlambda = 1.0\npattern = custom\nb_fields = 0.0, 0.0, 0.0\n"
+            "j_x = 1.5, 0.0\nj_y = 0.0, 2.25\n",
+        ),
+    ],
+    ids=["built-in", "custom"],
+)
+def test_config_file_bytes(tmp_path, spec, text):
+    path = tmp_path / "chain.cfg"
+    save_chain_config(spec, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n_sites = 3\npattern = bogus\n", "unknown coupling pattern 'bogus'"),
+        ("n_sites = 4\n", "chain length must be odd"),
+        ("n_sites = 3\npattern = custom\n", "custom pattern requires explicit j_x and j_y"),
+    ],
+    ids=["pattern", "chain-length", "custom-arrays"],
+)
+def test_config_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message) as info:
+        load_chain_config(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_sites = 3\nbogus = 1\n")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import bellchain.evolve
-from bellchain import Propagator, StateVector, cli
+import bellchain.fermion
+from bellchain import ChainSpec, Propagator, StateVector, ValidationError, cli
 from bellchain.cli import main
 
 
@@ -384,6 +385,39 @@ def test_chain_too_large_for_memory_exits_two_before_any_state(monkeypatch, caps
     monkeypatch.setattr(StateVector, "from_bits", unreachable)
     assert main(["generate", "--n", "31"]) == 2
     assert "physical memory" in capsys.readouterr().err
+
+
+def test_oversized_verify_exits_two_before_the_schedule(monkeypatch, capsys):
+    # the schedule's pairs grow with N, so the memory check must come first; the
+    # flag defaults come from ChainSpec's own field defaults, so one spec is built
+    def refuse(need, what):
+        raise ValidationError(f"{what} needs {need} bytes, more than the 0 bytes of physical memory")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the schedule was built")
+
+    specs = []
+    post_init = ChainSpec.__post_init__
+
+    def counted(spec):
+        specs.append(spec.n_sites)
+        post_init(spec)
+
+    monkeypatch.setattr(bellchain.fermion, "_check_memory", refuse)
+    monkeypatch.setattr(bellchain.fermion, "bell_schedule", unreachable)
+    monkeypatch.setattr(ChainSpec, "__post_init__", counted)
+    assert main(["verify", "--n", "31"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert specs == [31]
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_free_fermion", exhausted)
+    assert main(["verify", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_verify_builds_no_state(monkeypatch, capsys):

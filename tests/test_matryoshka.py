@@ -159,6 +159,21 @@ def test_schedule_rejects_partial_cover():
         MatryoshkaSchedule(5, 0, (((1, 5), BellLabel.PSI_PLUS),))
 
 
+def test_schedules_take_bell_labels_by_value():
+    # a label's value once passed the schedule's checks and failed later with a
+    # KeyError or AttributeError
+    for pairs in ((((1, 3), "psi+"),), (((1, 5), "phi-"), ((2, 4), "psi-"))):
+        by_value = MatryoshkaSchedule(2 * len(pairs) + 1, 0, pairs)
+        by_member = MatryoshkaSchedule(
+            by_value.n_sites, 0, tuple((sites, BellLabel(label)) for sites, label in pairs)
+        )
+        assert by_value == by_member
+        assert by_value.to_json_dict() == by_member.to_json_dict()
+        state = ideal_matryoshka_state(by_value)
+        assert state.amplitudes.tolist() == ideal_matryoshka_state(by_member).amplitudes.tolist()
+        assert verify_matryoshka(state, by_value) == verify_matryoshka(state, by_member)
+
+
 def test_ideal_state_matches_evolution():
     for n in (3, 5, 7):
         reference = t_star_unitary(n) @ basis_vec(n, 0)

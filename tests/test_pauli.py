@@ -6,6 +6,7 @@ from bellchain import (
     ChainSpec,
     DensityMatrix,
     HamiltonianTerms,
+    InitialState,
     MatryoshkaSchedule,
     Pattern,
     PauliString,
@@ -14,6 +15,7 @@ from bellchain import (
     ValidationError,
     bell_product_amplitudes,
     bell_schedule,
+    bell_state,
     bit_label,
     build_hamiltonian,
     closest_bell,
@@ -27,6 +29,7 @@ from bellchain import (
     purity,
     reduced_density,
     reference_point_fidelity,
+    verify_free_fermion,
     verify_matryoshka,
 )
 from bellchain.pauli import _mask_action
@@ -317,6 +320,22 @@ _UNCHECKED_CALLS = {
     ),
     "ChainSpec lam past the int print limit": (lambda lam: ChainSpec(3, lam), 10**5000, 2),
     "MatryoshkaSchedule central_value": (_schedule, 1.0, 1),
+    "dominant_components tol": (
+        lambda tol: StateVector.zero_state(3).dominant_components(tol),
+        "x",
+        1e-12,
+    ),
+    "dominant_components NaN tol": (
+        lambda tol: StateVector.zero_state(3).dominant_components(tol),
+        float("nan"),
+        1e-12,
+    ),
+    "PauliString.from_letters letter": (PauliString.from_letters, [1, 2], "XY"),
+    "HamiltonianTerms string": (
+        lambda s: HamiltonianTerms(3, ((1.0, s),)).dense().tolist(),
+        "XXI",
+        PauliString.from_letters("XXI"),
+    ),
 }
 
 
@@ -327,6 +346,52 @@ def test_unchecked_inputs_raise_validation_error_or_give_plain_numbers(call):
         run(bad)
     # numpy values give the very result of the equal plain numbers
     assert repr(run(np.array(good)[()])) == repr(run(good))
+
+
+def _spec(n, pattern):
+    """An n-site spec of ``pattern``, with coupling arrays when it reads as custom."""
+    if pattern in (Pattern.CUSTOM, "custom"):
+        return ChainSpec(n, pattern=pattern, j_x=(1.0,) * (n - 1), j_y=(0.5,) * (n - 1))
+    return ChainSpec(n, pattern=pattern)
+
+
+def _bell_pairs(n, label):
+    """The mirror pairs of an n-site chain: ``label`` on the outer pair, psi+ inside."""
+    return [((p, n + 1 - p), label if p == 1 else BellLabel.PSI_PLUS) for p in range(1, (n + 1) // 2)]
+
+
+# every enum-valued input: a call taking the value on an n-site chain, and its enum
+_CHOICE_CALLS = {
+    "ChainSpec pattern": (_spec, Pattern),
+    "bell_schedule initial": (lambda n, s: bell_schedule(n, s), InitialState),
+    "verify_free_fermion initial": (
+        lambda n, s: verify_free_fermion(ChainSpec(n), 0.7, s),
+        InitialState,
+    ),
+    "MatryoshkaSchedule label": (
+        lambda n, b: MatryoshkaSchedule(n, 0, tuple(_bell_pairs(n, b))),
+        BellLabel,
+    ),
+    "bell_state label": (lambda n, b: bell_state(b).tolist(), BellLabel),
+    "bell_product_amplitudes label": (
+        lambda n, b: bell_product_amplitudes(
+            n, [(p, q, label) for (p, q), label in _bell_pairs(n, b)], (n + 1) // 2, 1
+        ).tolist(),
+        BellLabel,
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_CHOICE_CALLS))
+def test_enum_inputs_take_the_member_or_its_value(call):
+    run, kind = _CHOICE_CALLS[call]
+    rng = np.random.default_rng(3030)
+    for n in rng.choice((3, 5, 7, 9), size=3):
+        for member in kind:
+            assert repr(run(n, member.value)) == repr(run(n, member))
+        for bad in (None, 3, ["psi+"], "bogus"):
+            with pytest.raises(ValidationError, match="unknown"):
+                run(n, bad)
 
 
 def test_reduced_density_accepts_every_valid_state():

@@ -4,6 +4,7 @@ import pytest
 import bellchain.evolve
 import bellchain.protocols
 from bellchain import (
+    BellchainError,
     BellLabel,
     ChainClass,
     ChainSpec,
@@ -15,6 +16,7 @@ from bellchain import (
     bell_schedule,
     build_hamiltonian,
     closest_bell,
+    concurrence,
     conveyor_run,
     extract_pair,
     gate_apply,
@@ -23,8 +25,10 @@ from bellchain import (
     matryoshka_time,
     reduced_density,
 )
+from _helpers import random_state
 from _reference import (
     REFERENCE_RATIOS,
+    classify_ref,
     conveyor_ref,
     ghz_ref,
     ghz_state_ref,
@@ -96,6 +100,47 @@ def test_extract_pair_custom_tolerance_lets_mild_impurity_pass():
     state = evolved(spec)
     extraction = extract_pair(state, force=True)
     assert extraction.fidelity > 0.99
+
+
+def test_extraction_reports_the_boundary_pairs_concurrence():
+    rng = np.random.default_rng(3001)
+    states = [ideal_matryoshka_state(bell_schedule(7)), evolved(ChainSpec(5, fields_b=(0.05,) * 5))]
+    for state in states + [random_state(rng, n) for n in (3, 5, 7)]:
+        rho = reduced_density(state, (1, state.n_sites))
+        assert extract_pair(state, force=True).concurrence == concurrence(rho)
+
+
+@pytest.mark.parametrize(
+    "weight, flipped, separable",
+    [(5e-9, 0b001, True), (2e-8, 0b101, False)],
+    ids=["5e-9", "2e-8"],
+)
+def test_inner_chain_is_separable_within_the_overlap_tolerance(weight, flipped, separable):
+    # |000> plus one other basis state of squared weight ``weight``: flipping one
+    # site keeps every site pure, flipping two entangles them, so the per-site rule
+    # of classify_ref reaches the same class here
+    inner = np.zeros(8, dtype=complex)
+    inner[0], inner[flipped] = np.sqrt(1.0 - weight), np.sqrt(weight)
+    assert (weight <= bellchain.protocols._Z_SEP_TOL) is separable
+    ref_class, ref_fidelity = classify_ref(inner, 3)
+    if separable:
+        assert ref_class == ChainClass.Z_BASIS_SEPARABLE.value
+        chain_class = bellchain.protocols._classify_internal(inner, 3)
+        assert chain_class == (ChainClass.Z_BASIS_SEPARABLE, ref_fidelity)
+    else:
+        assert ref_class == ChainClass.MATRYOSHKA_LIKE.value and ref_fidelity < 0.999
+        with pytest.raises(BellchainError, match="neither class"):
+            bellchain.protocols._classify_internal(inner, 3)
+
+
+def test_conveyor_reads_a_near_basis_inner_chain_as_separable():
+    # in round 4 the inner chain holds 1 - 5.9e-9 of its weight on one basis state,
+    # but its sites' purities fall 1.1e-8 below 1: a per-site purity test at 1e-8
+    # called it neither class
+    fields = tuple(float(f"{3e-4 * np.cos(3 * k):.6f}") for k in range(9))
+    record = conveyor_run(ChainSpec(9, 0.7, fields_b=fields), 4)[-1]
+    assert record.chain_class is ChainClass.Z_BASIS_SEPARABLE
+    assert 1.0 - 1e-8 <= record.internal_state_fidelity**2 < 1.0 - 5e-9
 
 
 def test_conveyor_matches_oracle():
