@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pauli import PauliString, _check_chain_length, _check_choice, _check_int, _check_real
-from .pauli import _check_reals, _mask_action, _parse_reals, _shown
+from .pauli import _check_reals, _mask_action, _parity_indices, _parse_reals, _shown
 
 
 class Pattern(enum.Enum):
@@ -198,10 +198,8 @@ class HamiltonianTerms:
         (``_chiral_signs``).  Built on first use.
         """
         n = self.n_sites
-        idx = np.arange(1 << n, dtype=np.int64)
         if any(string.x_mask.bit_count() % 2 for _, string in self.terms):
-            return ((idx, self),)
-        _, parity = _mask_action(PauliString(n, 0, (1 << n) - 1), idx)
+            return ((np.arange(1 << n, dtype=np.int64), self),)
         m = n - 1
         reduced = []  # (weight, string on sites 2..N, quarter turns in sector 0, on site 1)
         for weight, string in self.terms:
@@ -211,7 +209,7 @@ class HamiltonianTerms:
             turns = (string.x_mask & string.z_mask).bit_count() - (x & z).bit_count()
             reduced.append((weight, PauliString(m, x, z), turns, on_site_1))
         sectors = []
-        for p, sector_idx in enumerate((idx[parity.real > 0], idx[parity.real < 0])):
+        for p, sector_idx in enumerate(_parity_indices(n)):
             terms = tuple(
                 (w if (turns + 2 * (on1 & p)) % 4 == 0 else -w, s) for w, s, turns, on1 in reduced
             )

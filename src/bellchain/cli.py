@@ -1,9 +1,10 @@
 """Command-line interface: generation, verification, protocols, sweeps.
 
 Every artifact embeds the fully resolved configuration (a ``config``
-object in JSON files, a leading comment line in CSV files) and uses
-fixed float formatting, so identical invocations produce byte-identical
-outputs.  Exit codes: 0 success, 2 validation problem (including
+object in JSON files, a leading comment line in CSV files), with the
+artifact ``format`` (2: compact one-line JSON) and the ``route`` that
+computed it, and uses fixed float formatting, so identical invocations
+produce byte-identical outputs.  Exit codes: 0 success, 2 validation problem (including
 non-finite numbers, a coupling scale whose largest coupling overflows
 or whose t* underflows to 0, a size the host's memory cannot hold, and
 unreadable or unwritable files),
@@ -30,10 +31,10 @@ from .analysis import (
 )
 from .chain import ChainSpec, Pattern, _config_fields, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
-from .evolve import Propagator, matryoshka_time
-from .fermion import verify_free_fermion
+from .evolve import Propagator, _check_memory, matryoshka_time
+from .fermion import _covariance_bytes, verify_free_fermion
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
-from .pauli import StateVector, _check_real, _parse_reals
+from .pauli import StateVector, _check_chain_length, _check_real, _parse_reals
 from .protocols import conveyor_run, ghz_protocol
 
 
@@ -120,7 +121,9 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
         raise ValidationError("chain length required: pass --n or --config")
     else:
         base = ChainSpec  # the flag defaults are the spec's own field defaults
-    n = args.n if args.n is not None else base.n_sites
+    n = _check_chain_length(args.n if args.n is not None else base.n_sites)
+    # the smallest route's need, checked before the spec builds N-float coupling tuples
+    _check_memory(_covariance_bytes(n), f"the smallest route (covariance) at {n} sites")
     lam = args.lam if args.lam is not None else base.lam
     pattern = Pattern(args.pattern) if args.pattern else base.pattern
     fields = _parse_reals("field", args.b) if args.b else base.fields_b
@@ -129,8 +132,24 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
     return ChainSpec(n, lam, pattern, fields, j_x=j_x, j_y=j_y)
 
 
-def _spec_config_dict(spec: ChainSpec, t_star: float, extra: dict | None = None) -> dict:
-    return {**_config_fields(spec), "t_star": t_star, **(extra or {})}
+_ARTIFACT_FORMAT = 2
+# the representation behind each command's numbers: the 2N x 2N covariance
+# matrix of the free-fermion chain, or the 2^N state vector
+_ROUTES = {
+    **dict.fromkeys(("verify", "sweep", "reference-point"), "covariance"),
+    **dict.fromkeys(("generate", "conveyor", "ghz", "flux-check"), "state"),
+}
+
+
+def _command_config(command: str, fields: dict) -> dict:
+    """A config: the command, the artifact format, the route and ``fields``."""
+    return {"command": command, "format": _ARTIFACT_FORMAT, "route": _ROUTES[command], **fields}
+
+
+def _spec_config_dict(
+    command: str, spec: ChainSpec, t_star: float, extra: dict | None = None
+) -> dict:
+    return _command_config(command, {**_config_fields(spec), "t_star": t_star, **(extra or {})})
 
 
 def _config_comment(config: dict) -> str:
@@ -147,7 +166,8 @@ def _config_comment(config: dict) -> str:
 
 def _emit_json(payload: dict, out: str | None, echo: Sequence[str] = ()) -> None:
     """Write the payload to ``out`` and print the echo lines, or print the payload."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # compact separators keep json on its C encoder; indent would not
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
         for line in echo:
@@ -172,7 +192,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         t_star,
     )
     report = verify_matryoshka(state, bell_schedule(spec.n_sites, InitialState(args.initial)))
-    config = _spec_config_dict(spec, t_star, {"command": "generate", "initial": args.initial})
+    config = _spec_config_dict("generate", spec, t_star, {"initial": args.initial})
     payload = {
         "config": config,
         "state": {
@@ -193,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     t_star = _t_star(args, spec)
     report = verify_free_fermion(spec, t_star, args.initial)
-    config = _spec_config_dict(spec, t_star, {"command": "verify", "initial": args.initial})
+    config = _spec_config_dict("verify", spec, t_star, {"initial": args.initial})
     payload = {"config": config, "verification": report.to_json_dict()}
     echo = [
         f"pair {pair.sites}: label {pair.label.value} "
@@ -212,7 +232,7 @@ def _cmd_flux_check(args: argparse.Namespace) -> int:
     t_star = _t_star(args, spec)
     matches = flux_check(spec, t_star)
     payload = {
-        "config": _spec_config_dict(spec, t_star, {"command": "flux-check"}),
+        "config": _spec_config_dict("flux-check", spec, t_star),
         "matches": [m.to_json_dict() for m in matches],
     }
     echo = []
@@ -231,9 +251,7 @@ def _cmd_conveyor(args: argparse.Namespace) -> int:
     t_star = _t_star(args, spec)
     records = conveyor_run(spec, args.rounds, t_star)
     payload = {
-        "config": _spec_config_dict(
-            spec, t_star, {"command": "conveyor", "rounds": args.rounds}
-        ),
+        "config": _spec_config_dict("conveyor", spec, t_star, {"rounds": args.rounds}),
         "rounds": [r.to_json_dict() for r in records],
     }
     echo = [
@@ -250,7 +268,7 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
     t_star = _t_star(args, spec)
     result = ghz_protocol(spec, t_star)
     payload = {
-        "config": _spec_config_dict(spec, t_star, {"command": "ghz"}),
+        "config": _spec_config_dict("ghz", spec, t_star),
         "result": result.to_json_dict(),
     }
     echo = [f"ghz fidelity = {result.ghz_fidelity:.12g} phase = {result.relative_phase:.12g}"]
@@ -270,16 +288,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
         config = _spec_config_dict(
-            spec,
-            t_star,
-            {"command": "sweep", "grid": args.grid, "b3_ratio": result.b3_ratio},
+            "sweep", spec, t_star, {"grid": args.grid, "b3_ratio": result.b3_ratio}
         )
         path = out_dir / f"{args.prefix}b3_{result.b3_ratio:g}.csv"
         path.write_text(sweep_to_csv(result, _config_comment(config)), encoding="utf-8")
         print(f"b3 {result.b3_ratio:g}: min fidelity {result.min_fidelity:.12g} -> {path}")
     summary = {
         "config": _spec_config_dict(
-            spec, t_star, {"command": "sweep", "grid": args.grid, "b3_ratios": list(ratios)}
+            "sweep", spec, t_star, {"grid": args.grid, "b3_ratios": list(ratios)}
         ),
         "summary": sweep_summary(results),
     }
@@ -294,12 +310,9 @@ def _cmd_reference_point(args: argparse.Namespace) -> int:
     print(f"F = {fidelity:.12g}")
     if args.out:
         payload = {
-            "config": {
-                "command": "reference-point",
-                "scale": args.scale,
-                "lambda": args.lam,
-                "t_star": t_star,
-            },
+            "config": _command_config(
+                "reference-point", {"scale": args.scale, "lambda": args.lam, "t_star": t_star}
+            ),
             "fidelity": fidelity,
         }
         _emit_json(payload, args.out)

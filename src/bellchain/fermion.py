@@ -182,11 +182,16 @@ def _block_covariance(block: np.ndarray, t: float, initial: InitialState) -> np.
     return gamma
 
 
+def _covariance_bytes(n_sites: int) -> int:
+    """Bytes of the matrices the covariance route holds at once for an N-site chain."""
+    return _MATRICES_HELD * (2 * n_sites) ** 2 * 16
+
+
 def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
     """Gamma(t) of ``spec`` from ``initial``, its size first checked against physical memory."""
     n = spec.n_sites
     _check_memory(
-        _MATRICES_HELD * (2 * n) ** 2 * 16,
+        _covariance_bytes(n),
         f"the covariance route at {n} sites "
         f"({2 * _MATRICES_HELD} real {2 * n}x{2 * n} matrices)",
     )

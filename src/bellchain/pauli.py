@@ -208,7 +208,7 @@ class StateVector:
         # a new tie class starts wherever the magnitude drops by more than _TIE_TOL
         tie_class = np.cumsum(np.diff(ranked, prepend=ranked[:1]) < -_TIE_TOL)
         order = kept[np.lexsort((kept, tie_class))]
-        return [(bit_label(int(i), self.n_sites), complex(self._amps[i])) for i in order]
+        return list(zip(_bit_labels(order, self.n_sites), self._amps[order].tolist()))
 
     def __repr__(self) -> str:
         return f"StateVector(n_sites={self.n_sites})"
@@ -216,7 +216,22 @@ class StateVector:
 
 def bit_label(index: int, n_sites: int) -> str:
     """Site-ordered bit string for a basis index (site 1 first)."""
-    return "".join("1" if (index >> p) & 1 else "0" for p in range(n_sites))
+    # an object array holds a Python int of any length
+    return _bit_labels(np.array([index], dtype=object), n_sites)[0]
+
+
+def _bit_labels(indices: np.ndarray, n_sites: int) -> list[str]:
+    """:func:`bit_label` of every entry of ``indices``, from one numpy pass over their bits."""
+    bits = (indices[:, None] >> np.arange(n_sites)) & 1
+    text = (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    return [text[k * n_sites : (k + 1) * n_sites] for k in range(indices.size)]
+
+
+def _parity_indices(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of even and of odd Z parity (popcount) on N sites, each ascending."""
+    idx = np.arange(1 << n_sites, dtype=np.int64)
+    _, parity = _mask_action(PauliString(n_sites, 0, (1 << n_sites) - 1), idx)
+    return idx[parity.real > 0], idx[parity.real < 0]
 
 
 def _complex_array(values, name: str) -> np.ndarray:

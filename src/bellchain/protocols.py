@@ -12,7 +12,7 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, _chiral_map, matryoshka_time
 from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, StateVector, _check_int, _check_real, _partial_trace
+from .pauli import _TIE_TOL, StateVector, _check_int, _check_real, _parity_indices, _partial_trace
 from .pauli import concurrence, gate_apply, purity, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -20,6 +20,8 @@ _PURITY_TOL = 1e-6
 # the inner chain is Z-basis separable when its largest amplitude a has |a|^2 >= 1 - this
 _Z_SEP_TOL = 1e-8
 _MATRYOSHKA_FIDELITY_THRESHOLD = 0.999
+# Z parity of the pair basis |00>, |01>, |10>, |11>
+_PAIR_PARITY = np.array([0, 1, 1, 0])
 
 
 class ChainClass(enum.Enum):
@@ -68,6 +70,16 @@ def extract_pair(state: StateVector, force: bool = False) -> ExtractionResult:
     magnitudes = np.abs(pair)
     anchor = int(np.flatnonzero(magnitudes >= magnitudes.max() - _TIE_TOL)[0])
     pair = pair * (np.conj(pair[anchor]) / abs(pair[anchor]))
+    # every chain term flips an even number of spins, so an evolved basis state
+    # lies in one parity sector exactly.  Such a state's pair density is block
+    # diagonal in the pair's parity, and its top eigenvector has the anchor's
+    # parity up to rounding.  Clearing that rounding leaves the chain behind in
+    # one sector too, and its next evolution skips the other.  The norm moves by
+    # rounding only, unless a forced pair's top eigenvalue belongs to both parities
+    even, odd = _parity_indices(n)
+    if not state.amplitudes[odd].any() or not state.amplitudes[even].any():
+        pair[_PAIR_PARITY != _PAIR_PARITY[anchor]] = 0.0
+        pair /= np.linalg.norm(pair)
     # axes of the (2, 2^(N-2), 2) view: site N, middle block, site 1
     blocks = state.amplitudes.reshape(2, 1 << (n - 2), 2)
     projected = np.einsum("bma,ab->m", blocks, pair.reshape(2, 2).conj())

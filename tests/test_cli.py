@@ -67,6 +67,43 @@ def test_byte_identical_outputs(tmp_path, capsys, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
+_ROUTE = {
+    "generate": "state",
+    "verify": "covariance",
+    "flux-check": "state",
+    "conveyor": "state",
+    "ghz": "state",
+    "reference-point": "covariance",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ROUTE))
+def test_artifact_is_one_compact_json_line_with_format_and_route(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    argv = [command] if command == "reference-point" else [command, "--n", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == text
+    assert (payload["config"]["format"], payload["config"]["route"]) == (2, _ROUTE[command])
+    assert payload["config"]["command"] == command
+
+
+def test_sweep_configs_carry_format_and_route(tmp_path, capsys):
+    argv = ["sweep", "--n", "3", "--grid", "3", "--b3", "0,0.1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    text = (tmp_path / "sweep_summary.json").read_text(encoding="utf-8")
+    assert text.count("\n") == 1
+    config = json.loads(text)["config"]
+    assert (config["format"], config["route"], config["command"]) == (2, "covariance", "sweep")
+    for name in ("sweep_b3_0.csv", "sweep_b3_0.1.csv"):
+        comment = (tmp_path / name).read_text(encoding="utf-8").splitlines()[0].split()
+        assert {"format=2", "route=covariance", "command=sweep"} <= set(comment)
+
+
 _OUT_ECHO_N5 = {
     "generate": "global fidelity = 1 -> {out}\n",
     "verify": (
@@ -409,6 +446,37 @@ def test_oversized_verify_exits_two_before_the_schedule(monkeypatch, capsys):
     assert main(["verify", "--n", "31"]) == 2
     assert "physical memory" in capsys.readouterr().err
     assert specs == [31]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "20000001"],
+        ["verify", "--n", "99999999"],
+        ["generate", "--n", "99999999"],
+        ["conveyor", "--config", "{cfg}", "--n", "20000001"],
+    ],
+    ids=["verify-2e7", "verify-1e8", "generate-1e8", "config-override"],
+)
+def test_oversized_chain_exits_two_before_its_couplings(monkeypatch, capsys, tmp_path, argv):
+    # even the covariance route, the smallest, needs 512 N^2 bytes: far beyond any
+    # host here, so the check refuses before a spec builds its N-float couplings
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("n_sites = 5\n", encoding="utf-8")
+    specs = []
+    post_init = ChainSpec.__post_init__
+
+    def counted(spec):
+        specs.append(spec.n_sites)
+        if spec.n_sites > 1000:
+            raise AssertionError("an oversized spec was built")
+        post_init(spec)
+
+    monkeypatch.setattr(ChainSpec, "__post_init__", counted)
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and "covariance" in err
+    assert specs == ([5] if "--config" in argv else [])
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

@@ -32,7 +32,7 @@ from bellchain import (
     verify_free_fermion,
     verify_matryoshka,
 )
-from bellchain.pauli import _mask_action
+from bellchain.pauli import _bit_labels, _mask_action
 from _reference import letters_at, letters_dense
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +133,29 @@ def test_dominant_components_sorted_and_labeled():
     components = state.dominant_components()
     assert components[0] == ("000", pytest.approx(0.8))
     assert components[1][0] == "101"  # index 5: sites 1 and 3 up
+
+
+@pytest.mark.parametrize("n_sites", range(1, 11))
+def test_vectorised_labels_equal_bit_label_at_every_index(n_sites):
+    # site 1 first: the reversed binary numeral, independent of either implementation
+    expected = [format(i, f"0{n_sites}b")[::-1] for i in range(1 << n_sites)]
+    assert _bit_labels(np.arange(1 << n_sites), n_sites) == expected
+    assert [bit_label(i, n_sites) for i in range(1 << n_sites)] == expected
+
+
+def test_bit_label_takes_python_and_numpy_integers_of_any_length():
+    assert bit_label(np.int64(6), 4) == "0110"
+    assert bit_label((1 << 70) | 1, 71) == "1" + "0" * 69 + "1"
+
+
+def test_dominant_components_are_labels_and_python_complex():
+    rng = np.random.default_rng(3205)
+    state = StateVector(rng.normal(size=1 << 9) + 1j * rng.normal(size=1 << 9), normalize=True)
+    components = state.dominant_components()
+    assert len(components) == 1 << 9
+    for label, amp in components:
+        assert type(amp) is complex
+        assert amp == state.amplitudes[int(label[::-1], 2)]
 
 
 def test_dominant_components_ties_fall_to_basis_index():

@@ -25,6 +25,7 @@ from bellchain import (
     matryoshka_time,
     reduced_density,
 )
+from bellchain.pauli import _TIE_TOL
 from _helpers import random_state
 from _reference import (
     REFERENCE_RATIOS,
@@ -108,6 +109,69 @@ def test_extraction_reports_the_boundary_pairs_concurrence():
     for state in states + [random_state(rng, n) for n in (3, 5, 7)]:
         rho = reduced_density(state, (1, state.n_sites))
         assert extract_pair(state, force=True).concurrence == concurrence(rho)
+
+
+# Z parity of the pair basis |00>, |01>, |10>, |11> of sites (1, N)
+_PAIR_PARITY = np.array([0, 1, 1, 0])
+
+
+def _index_parity(n_sites: int) -> np.ndarray:
+    """Z parity (popcount mod 2) of every basis index, counted bit by bit."""
+    return np.array([bin(j).count("1") % 2 for j in range(1 << n_sites)])
+
+
+@pytest.mark.parametrize("n_sites", [5, 9, 13])
+def test_extract_pair_of_a_one_sector_state_is_exactly_zero_in_the_other_parity(n_sites):
+    # from |0..0> the evolution keeps the even sector exactly; with fields the
+    # boundary pair's other-parity entries would otherwise be rounding
+    fields = tuple(1e-4 * np.sin(np.arange(1.0, n_sites + 1)))
+    state = evolved(ChainSpec(n_sites, fields_b=fields))
+    parity = _index_parity(n_sites)
+    assert not state.amplitudes[parity == 1].any()
+    extraction = extract_pair(state)
+    pair = extraction.pair_state
+    kept = _PAIR_PARITY[int(np.argmax(np.abs(pair)))]
+    assert (pair[_PAIR_PARITY != kept] == 0.0).all()
+    assert np.linalg.norm(pair) == pytest.approx(1.0, abs=1e-15)
+    # so the chain left behind lies in one sector exactly
+    after = extraction.chain_after.amplitudes
+    assert not after[parity != kept].any()
+
+
+def test_extract_pair_forced_across_a_parity_degenerate_density_stays_unit():
+    # N = 3 in the even sector, (|e>|0> + |o>|1>)/sqrt(2) with |e> an even pair
+    # and |o> an odd one: the pair density's top eigenvalue 1/2 belongs to both
+    # parities, so eigh may return a mix of them, as it does for some of these seeds
+    for seed in range(3200, 3220):
+        rng = np.random.default_rng(seed)
+        e, o = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        amps = np.zeros(8, dtype=complex)
+        # index = site 1 + 2 * site 2 + 4 * site 3
+        amps[[0b000, 0b101]] = e / np.linalg.norm(e)
+        amps[[0b110, 0b011]] = o / np.linalg.norm(o)
+        extraction = extract_pair(StateVector(amps, normalize=True), force=True)
+        assert np.linalg.norm(extraction.pair_state) == pytest.approx(1.0, abs=1e-15), seed
+        assert extraction.fidelity == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12), seed
+
+
+def test_extract_pair_of_a_two_sector_state_is_the_gauged_top_eigenvector():
+    # a state with amplitudes in both sectors takes the unchanged path
+    rng = np.random.default_rng(3204)
+    for n_sites in (3, 7, 11):
+        pair = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rest = rng.normal(size=1 << (n_sites - 2)) + 1j * rng.normal(size=1 << (n_sites - 2))
+        # axes of the amplitudes as (2, 2^(N-2), 2): site N, middle block, site 1
+        product = np.einsum("ab,m->bma", pair.reshape(2, 2), rest).ravel()
+        for state, force in (
+            (StateVector(product, normalize=True), False),
+            (random_state(rng, n_sites), True),
+        ):
+            _, vectors = np.linalg.eigh(reduced_density(state, (1, n_sites)).matrix)
+            top = vectors[:, -1]
+            anchor = int(np.flatnonzero(np.abs(top) >= np.abs(top).max() - _TIE_TOL)[0])
+            expected = top * (np.conj(top[anchor]) / abs(top[anchor]))
+            got = extract_pair(state, force=force).pair_state
+            assert np.abs(got - expected).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -196,6 +260,36 @@ def test_conveyor_takes_one_boundary_density_per_round(monkeypatch):
     monkeypatch.setattr(bellchain.protocols, "reduced_density", counted)
     conveyor_run(ChainSpec(7), 4)
     assert calls == [(1, 7)] * 4
+
+
+def test_conveyor_evolves_one_parity_sector_per_round(monkeypatch):
+    # each extraction leaves the chain in one sector exactly, so no round
+    # evolves the rounding of the other
+    eigen_sectors, krylov_sizes, depth = [], [], []
+    eigen_expm, krylov_expm = bellchain.evolve._eigen_expm, bellchain.evolve._krylov_expm
+
+    def eigen_recorded(hamiltonian, p, *args):
+        if not depth:  # the odd sector nests a call on the even one's diagonalisation
+            eigen_sectors.append(p)
+        depth.append(p)
+        try:
+            return eigen_expm(hamiltonian, p, *args)
+        finally:
+            depth.pop()
+
+    def krylov_recorded(apply_h, amplitudes, t):
+        krylov_sizes.append(amplitudes.size)
+        return krylov_expm(apply_h, amplitudes, t)
+
+    monkeypatch.setattr(bellchain.evolve, "_eigen_expm", eigen_recorded)
+    monkeypatch.setattr(bellchain.evolve, "_krylov_expm", krylov_recorded)
+    # eigen up to 12 sites: the rounds alternate between the sectors
+    conveyor_run(ChainSpec(9), 4)
+    assert (eigen_sectors, krylov_sizes) == ([0, 1, 0, 1], [])
+    eigen_sectors.clear()
+    # Krylov beyond: one sector of 2^12 amplitudes per round
+    conveyor_run(ChainSpec(13), 4)
+    assert (eigen_sectors, krylov_sizes) == ([], [1 << 12] * 4)
 
 
 def test_conveyor_zero_rounds():
