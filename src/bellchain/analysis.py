@@ -16,17 +16,17 @@ its own fields.  No state is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .chain import ChainSpec, Pattern
 from .errors import ValidationError
-from .evolve import matryoshka_time
+from .evolve import _protocol_time
 from .fermion import _block_covariance, _coupling_block, _evolved_covariance, _gaussian_fidelity
 from .matryoshka import InitialState
-from .pauli import StateVector, _check_int, _check_real
+from .pauli import StateVector, _check_int, _check_memory, _check_real, _check_reals, _shown
 from .pauli import concurrence, purity  # re-exported: their public home
 
 # Hardware-motivated operating point for the three-site robustness
@@ -83,10 +83,12 @@ def field_sweep(
         raise ValidationError("need at least one b3 ratio")
     if any(not 0.0 <= b <= 0.1 for b in ratios_b3):
         raise ValidationError("b3 ratios must lie in [0, 0.1]")
-    t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
+    t_star = _protocol_time(base.lam, t_star)
+    points = grid_points**2 * len(ratios_b3)  # each row holds about 152 bytes (tracemalloc)
+    _check_memory(152 * points, f"a field sweep of {_shown(points)} points")
     axis = tuple(np.linspace(0.0, 0.1, grid_points))
-    j_x, j_y = base.couplings()
-    j_edge = j_y[0]
+    couplings = base.couplings()
+    j_edge = couplings[1][0]
     # checks the route's size against memory once, for every point of the sweep
     reference = _evolved_covariance(base, t_star, InitialState.ALL0)
     results = []
@@ -94,11 +96,17 @@ def field_sweep(
         rows = []
         for b1 in axis:
             for b2 in axis:
-                block = _coupling_block(j_x, j_y, tuple(r * j_edge for r in (b1, b2, b3)))
-                evolved = _block_covariance(block, t_star, InitialState.ALL0)
-                rows.append((float(b1), float(b2), _gaussian_fidelity(reference, evolved)))
+                fields = tuple(r * j_edge for r in (b1, b2, b3))
+                fidelity = _point_fidelity(reference, couplings, fields, t_star)
+                rows.append((float(b1), float(b2), fidelity))
         results.append(SweepResult(b3, tuple(rows), min(row[2] for row in rows)))
     return results
+
+
+def _point_fidelity(reference: np.ndarray, couplings, fields, t_star: float) -> float:
+    """A field-study point: |000> evolved under its Z ``fields``, overlapped with ``reference``."""
+    block = _coupling_block(*couplings, fields)
+    return _gaussian_fidelity(reference, _block_covariance(block, t_star, InitialState.ALL0))
 
 
 def sweep_to_csv(result: SweepResult, config_comment: str | None = None) -> str:
@@ -132,19 +140,16 @@ def reference_point_fidelity(
 ) -> float:
     """Fidelity at the reference operating point, optionally rescaled.
 
-    Builds the three-site chain with fields at ``scale`` times the
-    REFERENCE_FIELD_RATIOS of the first-bond coupling and returns the
-    overlap with the unperturbed evolution, both on the covariance route
-    as in :func:`field_sweep`.
+    One point of the :func:`field_sweep` study: the three-site chain with
+    fields at ``scale`` times the REFERENCE_FIELD_RATIOS of the first-bond
+    coupling, against the unperturbed evolution.
     """
     scale = _check_real("field scale", scale)
     if scale < 0:
         raise ValidationError("field scale must be nonnegative")
     base = ChainSpec(3, lam)
-    t_star = _check_real("time", matryoshka_time(base.lam) if t_star is None else t_star)
-    j_edge = base.couplings()[1][0]
-    perturbed = replace(base, fields_b=tuple(scale * r * j_edge for r in REFERENCE_FIELD_RATIOS))
-    return _gaussian_fidelity(
-        _evolved_covariance(base, t_star, InitialState.ALL0),
-        _evolved_covariance(perturbed, t_star, InitialState.ALL0),
-    )
+    t_star = _protocol_time(base.lam, t_star)
+    couplings = base.couplings()
+    fields = _check_reals("field", (scale * r * couplings[1][0] for r in REFERENCE_FIELD_RATIOS))
+    reference = _evolved_covariance(base, t_star, InitialState.ALL0)
+    return _point_fidelity(reference, couplings, fields, t_star)

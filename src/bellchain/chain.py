@@ -18,9 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .pauli import PauliString, _check_chain_length, _check_choice, _check_int, _check_real
-from .pauli import _check_reals, _mask_action, _parity_indices, _parse_reals, _shown
+from .errors import _NOT_FINITE, BellchainError, ValidationError
+from .pauli import PauliString, _check_chain_length, _check_choice, _check_int, _check_memory
+from .pauli import _check_real, _check_reals, _mask_action, _parity_indices, _parse_reals, _shown
+
+# the covariance route's memory in 2N x 2N matrices of 16 bytes an entry, each the room
+# of two real ones: R, O E^T and its transpose, Gamma, and the carried elimination's
+# copy with the SVD's N x N factors and workspace
+_MATRICES_HELD = 4
 
 
 class Pattern(enum.Enum):
@@ -29,6 +34,12 @@ class Pattern(enum.Enum):
     PERFECT_TRANSFER = "perfect-transfer"
     MATRYOSHKA_ALTERNATING = "matryoshka"
     CUSTOM = "custom"
+
+
+def _covariance_need(n_sites: int) -> tuple[int, str]:
+    """``_check_memory``'s ``(need, what)`` for the covariance route, the smallest, at N sites."""
+    need = _MATRICES_HELD * (2 * n_sites) ** 2 * 16
+    return need, f"the covariance route at {_shown(n_sites)} sites"
 
 
 def perfect_transfer_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
@@ -159,8 +170,11 @@ class HamiltonianTerms:
                     shape[n - 1 - bit] = 2
                     rows = rows | (np.arange(2, dtype=np.int64) << bit).reshape(shape)
             coeff = np.zeros(rows.shape, dtype=complex)
-            for weight, string in members:
-                coeff += weight * _mask_action(string, rows ^ x_mask)[1]
+            with np.errstate(over="ignore"):  # past the float range: inf, refused here
+                for weight, string in members:
+                    coeff += weight * _mask_action(string, rows ^ x_mask)[1]
+            if not np.isfinite(coeff).all():
+                raise BellchainError(_NOT_FINITE)
             axes = tuple(n - 1 - bit for bit in range(n) if x_mask >> bit & 1)
             groups.append((axes, coeff))
         return tuple(groups)
@@ -266,9 +280,10 @@ class HamiltonianTerms:
         idx = np.arange(dim, dtype=np.int64)
         real = not any((string.x_mask & string.z_mask).bit_count() % 2 for _, string in self.terms)
         mat = np.zeros((dim, dim), dtype=float if real else complex)
-        for weight, string in self.terms:
-            rows, values = _mask_action(string, idx)
-            mat[rows, idx] += weight * (values.real if real else values)
+        with np.errstate(over="ignore"):  # past the float range: inf, which evolve refuses
+            for weight, string in self.terms:
+                rows, values = _mask_action(string, idx)
+                mat[rows, idx] += weight * (values.real if real else values)
         return mat
 
 
@@ -348,7 +363,8 @@ def load_chain_config(path: str) -> ChainSpec:
     if "n_sites" not in raw:
         raise ValidationError(f"{path}: missing required key 'n_sites'")
     try:
-        n_sites = int(raw["n_sites"])
+        n_sites = _check_chain_length(int(raw["n_sites"]))
+        _check_memory(*_covariance_need(n_sites))
         lam = float(raw.get("lambda", "1.0"))
         # an empty b_fields means no fields
         fields = _parse_reals("b_fields", raw["b_fields"]) if raw.get("b_fields") else ()

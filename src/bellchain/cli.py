@@ -29,12 +29,13 @@ from .analysis import (
     sweep_summary,
     sweep_to_csv,
 )
-from .chain import ChainSpec, Pattern, _config_fields, build_hamiltonian, load_chain_config
+from .chain import ChainSpec, Pattern, _config_fields, _covariance_need, build_hamiltonian
+from .chain import load_chain_config
 from .errors import BellchainError, ValidationError
-from .evolve import Propagator, _check_memory, matryoshka_time
-from .fermion import _covariance_bytes, verify_free_fermion
+from .evolve import Propagator, _protocol_time
+from .fermion import verify_free_fermion
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
-from .pauli import StateVector, _check_chain_length, _check_real, _parse_reals
+from .pauli import StateVector, _check_chain_length, _check_memory, _check_real, _parse_reals
 from .protocols import conveyor_run, ghz_protocol
 
 
@@ -48,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_chain_options(p: argparse.ArgumentParser) -> None:
+    def chain_command(name: str, help: str) -> argparse.ArgumentParser:
+        """A command that runs one chain: its spec from a config file and flags, and a time."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="chain config file (flags override file values)")
         p.add_argument("--n", type=int, help="chain length (odd, >= 3)")
         p.add_argument("--lam", type=float, help="coupling scale (default 1.0)")
@@ -64,38 +67,24 @@ def build_parser() -> argparse.ArgumentParser:
             dest="t_star",
             help="override the protocol time (default pi/(4 lam))",
         )
+        return p
 
-    p = sub.add_parser("generate", help="evolve a product state to t* and report the result")
-    add_chain_options(p)
+    p = chain_command("generate", "evolve a product state to t* and report the result")
     p.add_argument("--initial", choices=["all0", "all1"], default="all0")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    p = sub.add_parser("verify", help="evolve and gate on the nested-Bell verification")
-    add_chain_options(p)
+    p = chain_command("verify", "evolve and gate on the nested-Bell verification")
     p.add_argument("--initial", choices=["all0", "all1"], default="all0")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument(
         "--min-fidelity",
         type=float,
         default=0.999,
         help="global fidelity below this exits with code 3 (default 0.999)",
     )
-
-    p = sub.add_parser("flux-check", help="match evolved pair operators to signed Z-strings")
-    add_chain_options(p)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    p = sub.add_parser("conveyor", help="run evolve-extract rounds and log each pair")
-    add_chain_options(p)
+    chain_command("flux-check", "match evolved pair operators to signed Z-strings")
+    p = chain_command("conveyor", "run evolve-extract rounds and log each pair")
     p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    chain_command("ghz", "evolve, Hadamard the central spin, evolve again")
 
-    p = sub.add_parser("ghz", help="evolve, Hadamard the central spin, evolve again")
-    add_chain_options(p)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    p = sub.add_parser("sweep", help="fidelity surface over field ratios on the 3-site chain")
-    add_chain_options(p)
+    p = chain_command("sweep", "fidelity surface over field ratios on the 3-site chain")
     p.add_argument("--grid", type=int, default=21, help="points per axis (default 21)")
     p.add_argument("--b3", default="0,0.05,0.1", help="comma-separated B3/J ratios")
     p.add_argument("--out-dir", default=".", help="directory for CSV and summary files")
@@ -105,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0, help="field scale multiplier")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--t-star", type=float, dest="t_star")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    # full option names only: `flux-check --t 0.5` is an error, not `--t-star 0.5`
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
+        if name != "sweep":  # it writes CSV files and a summary into --out-dir
+            p.add_argument("--out", help="write the JSON report here instead of stdout")
+        # full option names only: `flux-check --t 0.5` is an error, not `--t-star 0.5`
         p.allow_abbrev = False
     return parser
 
@@ -123,7 +113,7 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
         base = ChainSpec  # the flag defaults are the spec's own field defaults
     n = _check_chain_length(args.n if args.n is not None else base.n_sites)
     # the smallest route's need, checked before the spec builds N-float coupling tuples
-    _check_memory(_covariance_bytes(n), f"the smallest route (covariance) at {n} sites")
+    _check_memory(*_covariance_need(n))
     lam = args.lam if args.lam is not None else base.lam
     pattern = Pattern(args.pattern) if args.pattern else base.pattern
     fields = _parse_reals("field", args.b) if args.b else base.fields_b
@@ -133,17 +123,12 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
 
 
 _ARTIFACT_FORMAT = 2
-# the representation behind each command's numbers: the 2N x 2N covariance
-# matrix of the free-fermion chain, or the 2^N state vector
-_ROUTES = {
-    **dict.fromkeys(("verify", "sweep", "reference-point"), "covariance"),
-    **dict.fromkeys(("generate", "conveyor", "ghz", "flux-check"), "state"),
-}
 
 
 def _command_config(command: str, fields: dict) -> dict:
     """A config: the command, the artifact format, the route and ``fields``."""
-    return {"command": command, "format": _ARTIFACT_FORMAT, "route": _ROUTES[command], **fields}
+    route = _DISPATCH[command][1]
+    return {"command": command, "format": _ARTIFACT_FORMAT, "route": route, **fields}
 
 
 def _spec_config_dict(
@@ -176,13 +161,7 @@ def _emit_json(payload: dict, out: str | None, echo: Sequence[str] = ()) -> None
         sys.stdout.write(text)
 
 
-def _t_star(args: argparse.Namespace, spec: ChainSpec) -> float:
-    return args.t_star if args.t_star is not None else matryoshka_time(spec.lam)
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
+def _cmd_generate(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
     # the propagator is built, and checks the size against memory, before
     # the start state exists; it is dropped as soon as the state is evolved
     state = Propagator(build_hamiltonian(spec)).evolve(
@@ -208,10 +187,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
     _check_real("--min-fidelity", args.min_fidelity)
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
     report = verify_free_fermion(spec, t_star, args.initial)
     config = _spec_config_dict("verify", spec, t_star, {"initial": args.initial})
     payload = {"config": config, "verification": report.to_json_dict()}
@@ -227,9 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_flux_check(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
+def _cmd_flux_check(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
     matches = flux_check(spec, t_star)
     payload = {
         "config": _spec_config_dict("flux-check", spec, t_star),
@@ -246,9 +221,7 @@ def _cmd_flux_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_conveyor(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
+def _cmd_conveyor(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
     records = conveyor_run(spec, args.rounds, t_star)
     payload = {
         "config": _spec_config_dict("conveyor", spec, t_star, {"rounds": args.rounds}),
@@ -263,9 +236,7 @@ def _cmd_conveyor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ghz(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
+def _cmd_ghz(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
     result = ghz_protocol(spec, t_star)
     payload = {
         "config": _spec_config_dict("ghz", spec, t_star),
@@ -276,9 +247,7 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    t_star = _t_star(args, spec)
+def _cmd_sweep(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
     ratios = _parse_reals("b3 ratio", args.b3)
     names = [f"b3_{ratio:g}" for ratio in ratios]
     if len(set(names)) < len(names) or len(set(ratios)) < len(ratios):
@@ -305,7 +274,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_reference_point(args: argparse.Namespace) -> int:
-    t_star = args.t_star if args.t_star is not None else matryoshka_time(args.lam)
+    t_star = _protocol_time(args.lam, args.t_star)
     fidelity = reference_point_fidelity(args.scale, args.lam, t_star)
     print(f"F = {fidelity:.12g}")
     if args.out:
@@ -319,21 +288,27 @@ def _cmd_reference_point(args: argparse.Namespace) -> int:
     return 0
 
 
+# each command's handler and its route: the representation behind its numbers,
+# the 2N x 2N covariance matrix of the free-fermion chain or the 2^N state vector
 _DISPATCH = {
-    "generate": _cmd_generate,
-    "verify": _cmd_verify,
-    "flux-check": _cmd_flux_check,
-    "conveyor": _cmd_conveyor,
-    "ghz": _cmd_ghz,
-    "sweep": _cmd_sweep,
-    "reference-point": _cmd_reference_point,
+    "generate": (_cmd_generate, "state"),
+    "verify": (_cmd_verify, "covariance"),
+    "flux-check": (_cmd_flux_check, "state"),
+    "conveyor": (_cmd_conveyor, "state"),
+    "ghz": (_cmd_ghz, "state"),
+    "sweep": (_cmd_sweep, "covariance"),
+    "reference-point": (_cmd_reference_point, "covariance"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler = _DISPATCH[args.command][0]
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "reference-point":  # the one command without chain options
+            return handler(args)
+        spec = _resolve_spec(args)
+        return handler(args, spec, _protocol_time(spec.lam, args.t_star))
     except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+_NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large for double precision"
+
 
 class BellchainError(Exception):
     """Base class for all package-specific errors."""

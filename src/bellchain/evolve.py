@@ -50,14 +50,14 @@ tested directly.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable
 
 import numpy as np
 
 from .chain import HamiltonianTerms
-from .errors import BellchainError, ConvergenceError, DimensionMismatchError, ValidationError
-from .pauli import PauliString, StateVector, _check_real
+from .errors import _NOT_FINITE, BellchainError, ConvergenceError, DimensionMismatchError
+from .errors import ValidationError
+from .pauli import PauliString, StateVector, _check_memory, _check_real
 
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
@@ -65,7 +65,6 @@ _MAX_SUBSTEPS = 1 << 20
 # error target of a whole Krylov evolution and Lanczos basis ceiling
 _KRYLOV_TOLERANCE = 1e-10
 _KRYLOV_MAX_SUBSPACE = 40
-_NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large for double precision"
 
 
 def matryoshka_time(lam: float = 1.0) -> float:
@@ -81,17 +80,9 @@ def matryoshka_time(lam: float = 1.0) -> float:
     return t_star
 
 
-def _check_memory(need: int, what: str) -> None:
-    """Raise ValidationError when ``what`` needs more than the host's physical memory.
-
-    ``need`` is in bytes.  Called before the allocation, so that a chain
-    too large for the host exits 2 instead of failing inside numpy.
-    """
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValidationError(
-            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
-        )
+def _protocol_time(lam: float, t: float | None) -> float:
+    """The time ``t``, checked to be finite and real, or t* = pi/(4 lam) when it is None."""
+    return matryoshka_time(lam) if t is None else _check_real("time", t)
 
 
 class Propagator:
@@ -181,10 +172,17 @@ def _eigen_expm(
             return (np.outer(signs, signs) * _eigen_expm(hamiltonian, 0, -t))[::-1, ::-1]
         return _chiral_map(signs, _eigen_expm(hamiltonian, 0, -t, signs * part[::-1]))
     w, v = hamiltonian._parity_sectors[p][1]._eigh
-    phases = np.exp(-1j * w * t)
+    phases = _phases(w, t)
     if part is None:
         return _times(v, phases[:, None] * v.conj().T)
     return _times(v, phases * _times(v.conj().T, part))
+
+
+def _phases(w: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i w t) of ascending ``w``; past the float range, BellchainError, not a numpy warning."""
+    if not math.isfinite(abs(t) * float(max(-w[0], w[-1]))):
+        raise BellchainError(_NOT_FINITE)
+    return np.exp(-1j * w * t)
 
 
 def _chiral_map(signs: np.ndarray, even: np.ndarray) -> np.ndarray:
@@ -263,7 +261,7 @@ def _lanczos_step(
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise BellchainError(_NOT_FINITE)
         w_small, q_small = _tridiagonal_eigh(alphas, betas)
-        coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
+        coefficients = q_small @ (_phases(w_small, dt) * q_small[0, :])
         if beta < 1e-14 * max(1.0, abs(alpha)):
             break  # happy breakdown: the basis spans an invariant subspace
         if abs(t) * beta * abs(coefficients[-1]) <= _KRYLOV_TOLERANCE:
@@ -280,7 +278,7 @@ def _lanczos_step(
                     f"Krylov propagation did not reach tolerance {_KRYLOV_TOLERANCE:.1e} "
                     f"with steps down to 1/{_MAX_SUBSTEPS} of the time"
                 )
-            coefficients = q_small @ (np.exp(-1j * w_small * dt) * q_small[0, :])
+            coefficients = q_small @ (_phases(w_small, dt) * q_small[0, :])
     m = len(alphas)
     return norm0 * (coefficients @ basis[:m]), dt
 

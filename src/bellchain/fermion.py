@@ -41,13 +41,13 @@ memory, not by 2^N amplitudes.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec
-from .errors import BellchainError
-from .evolve import _NOT_FINITE, _check_memory
+from .chain import ChainSpec, _covariance_need
+from .errors import _NOT_FINITE, BellchainError
 from .matryoshka import (
     _BELL_TABLE,
     BellLabel,
@@ -57,12 +57,8 @@ from .matryoshka import (
     _pair_report,
     bell_schedule,
 )
-from .pauli import _LETTER_MATRICES, DensityMatrix, _check_choice, _check_real
+from .pauli import _LETTER_MATRICES, DensityMatrix, _check_choice, _check_memory, _check_real
 
-# the route's memory in 2N x 2N matrices of 16 bytes an entry, each the room of two
-# real ones: R, O E^T and its transpose, Gamma, and the carried elimination's copy
-# with the SVD's N x N factors and workspace
-_MATRICES_HELD = 4
 # a carried |Pf(S)| below this leaves its pair, and every pair outside it, to direct Pfaffians
 _CARRY_MIN_PFAFFIAN = 1e-3
 # the 4x4 matrices of the parity-even Pauli strings of a site pair (p, q), the
@@ -161,11 +157,13 @@ def _block_covariance(block: np.ndarray, t: float, initial: InitialState) -> np.
     - E O^T).
     The products are ``einsum``'s own loops, not BLAS, so Gamma does not
     depend on the BLAS thread count as long as the SVD does not.  A
-    non-finite B, R or Gamma raises BellchainError.
+    non-finite B, angle St, R or Gamma raises BellchainError.
     """
     if not np.isfinite(block).all():
         raise BellchainError(_NOT_FINITE)
     u, sigma, vt = np.linalg.svd(block)
+    if not math.isfinite(abs(t) * float(sigma[0])):
+        raise BellchainError(_NOT_FINITE)
     cos, sin = np.cos(sigma * t), np.sin(sigma * t)
     r = np.empty((2 * len(block),) * 2)
     r[0::2, 0::2] = np.einsum("ik,jk->ij", u * cos, u)
@@ -182,19 +180,9 @@ def _block_covariance(block: np.ndarray, t: float, initial: InitialState) -> np.
     return gamma
 
 
-def _covariance_bytes(n_sites: int) -> int:
-    """Bytes of the matrices the covariance route holds at once for an N-site chain."""
-    return _MATRICES_HELD * (2 * n_sites) ** 2 * 16
-
-
 def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
     """Gamma(t) of ``spec`` from ``initial``, its size first checked against physical memory."""
-    n = spec.n_sites
-    _check_memory(
-        _covariance_bytes(n),
-        f"the covariance route at {n} sites "
-        f"({2 * _MATRICES_HELD} real {2 * n}x{2 * n} matrices)",
-    )
+    _check_memory(*_covariance_need(spec.n_sites))
     return _block_covariance(_coupling_block(*spec.couplings(), spec.fields_b), t, initial)
 
 

@@ -11,7 +11,7 @@ are signed Z-strings.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,8 @@ from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
 from .pauli import _TIE_TOL, DensityMatrix, PauliString, StateVector, _check_chain_length
 from .pauli import _check_choice, _check_int, _check_site, _complex_array, _mask_action
-from .pauli import _HERM_TOL, _density_array, concurrence, purity, reduced_density
+from .pauli import _HERM_TOL, _check_memory, _density_array, _norm, _shown, concurrence
+from .pauli import purity, reduced_density
 
 _MATCH_COEFF_TOL = 1e-6
 # Bell overlaps <b|rho|b> below this are rounding, counted as 0
@@ -85,7 +86,7 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
         raise ValidationError(f"expected a 4-vector or 4x4 matrix, got shape {pair.shape}")
     elif not np.isfinite(pair).all():
         raise ValidationError("pair entries must be finite")
-    elif abs((norm := np.linalg.norm(pair)) - 1.0) > _HERM_TOL:
+    elif abs((norm := _norm(pair)) - 1.0) > _HERM_TOL:
         raise ValidationError(f"pair state norm {norm} deviates from 1 beyond 1e-12")
     fidelities = {
         label: abs(np.vdot(b, pair)) if pair.ndim == 1 else _mixed_bell_fidelity(b, pair)
@@ -178,6 +179,8 @@ def bell_product_amplitudes(
     central_value = _check_int("central value", central_value)
     if central_value not in (0, 1):
         raise ValidationError("central value must be 0 or 1")
+    # 64 bytes an amplitude, for the indices and temporaries; no host holds 2^64 of them
+    _check_memory(64 << min(n_sites, 64), f"a product state of {_shown(n_sites)} sites")
     idx = np.arange(1 << n_sites, dtype=np.int64)
     amps = np.ones(idx.size, dtype=complex)
     for p, q, label in labeled_pairs:
@@ -201,8 +204,29 @@ def ideal_matryoshka_state(schedule: MatryoshkaSchedule) -> StateVector:
     return StateVector(amps)
 
 
+class _JsonRecord:
+    """A result record whose JSON holds each of its dataclass fields under the field's name.
+
+    An Enum is written as its value, a tuple as a list and a complex array
+    as its ``[re, im]`` pairs; every other value as it is.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, np.ndarray):
+        return np.stack((value.real, value.imag), axis=-1).tolist()
+    return value
+
+
 @dataclass(frozen=True)
-class PairReport:
+class PairReport(_JsonRecord):
     """Per-pair verification numbers."""
 
     sites: tuple[int, int]
@@ -210,15 +234,6 @@ class PairReport:
     concurrence: float
     bell_fidelity: float
     purity: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sites": list(self.sites),
-            "label": self.label.value,
-            "concurrence": self.concurrence,
-            "bell_fidelity": self.bell_fidelity,
-            "purity": self.purity,
-        }
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,7 @@ def mirror_pair_sign(n_sites: int, pair_index: int) -> int:
 
 
 @dataclass(frozen=True)
-class FluxMatch:
+class FluxMatch(_JsonRecord):
     """Outcome of matching one evolved pair operator to a signed Z-string.
 
     ``residual`` is the operator 2-norm distance to sign * Z-string
@@ -302,17 +317,6 @@ class FluxMatch:
     coefficient: float
     residual: float
     matched: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair_index": self.pair_index,
-            "kind": self.kind,
-            "z_sites": list(self.z_sites) if self.z_sites is not None else None,
-            "sign": self.sign,
-            "coefficient": self.coefficient,
-            "residual": self.residual,
-            "matched": self.matched,
-        }
 
 
 def _mask_sites(mask: int) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ import enum
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -80,8 +81,8 @@ class PauliString:
             object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.n_sites < 1:
             raise ValidationError("PauliString needs at least one site")
-        top = 1 << self.n_sites
-        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
+        masks = (self.x_mask, self.z_mask)
+        if min(masks) < 0 or max(masks).bit_length() > self.n_sites:
             raise ValidationError("mask exceeds the declared number of sites")
 
     @classmethod
@@ -100,10 +101,9 @@ class PauliString:
     @classmethod
     def single(cls, n_sites: int, site: int, letter: str) -> "PauliString":
         """A single non-identity letter on one site of an N-site chain."""
-        site = _check_site(site, n_sites)
-        letters = ["I"] * n_sites
-        letters[site - 1] = letter
-        return cls.from_letters(letters)
+        site = _check_site(site, _check_int("n_sites", n_sites))
+        one = cls.from_letters([letter])
+        return cls(n_sites, one.x_mask << (site - 1), one.z_mask << (site - 1))
 
     @property
     def letters(self) -> str:
@@ -137,7 +137,7 @@ class StateVector:
         if amps.size != (1 << n):
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
         _check_chain_length(n)
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         if not np.isfinite(norm):
             raise ValidationError(f"state norm {norm!r} is not finite")
         if normalize:
@@ -216,6 +216,10 @@ class StateVector:
 
 def bit_label(index: int, n_sites: int) -> str:
     """Site-ordered bit string for a basis index (site 1 first)."""
+    index, n_sites = _check_int("basis index", index), _check_int("n_sites", n_sites)
+    if index < 0 or index.bit_length() > n_sites:
+        raise ValidationError(f"{_shown(index)} is not a basis index of {_shown(n_sites)} sites")
+    _check_memory(16 * n_sites, f"a label of {_shown(n_sites)} sites")
     # an object array holds a Python int of any length
     return _bit_labels(np.array([index], dtype=object), n_sites)[0]
 
@@ -240,8 +244,23 @@ def _complex_array(values, name: str) -> np.ndarray:
         if np.asarray(values).dtype.kind in "SU":  # numpy would parse "0.5" as a number
             raise TypeError
         return np.array(values, dtype=complex)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be numbers") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the floats
+        raise ValidationError(f"{name} must be numbers within the float range") from None
+
+
+def _norm(values: np.ndarray) -> float:
+    """The 2-norm of an array: inf, without a numpy warning, when it passes the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(values))
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, before its allocation, a ``need`` of bytes past the host's physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValidationError(
+            f"{what} needs more than the {_shown(have)} bytes of physical memory ({_shown(need)})"
+        )
 
 
 def _shown(value) -> str:
@@ -329,7 +348,9 @@ def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
         raise ValidationError(f"gate must be 2x2, got {gate.shape}")
     if not np.isfinite(gate).all():
         raise ValidationError("gate entries must be finite")
-    if np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > _HERM_TOL:
+    # a unitary's entries lie within 1; past that, G^dag G could leave the float range
+    too_large = np.abs(gate).max() > 1.0 + _HERM_TOL
+    if too_large or np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > _HERM_TOL:
         raise ValidationError("gate is not unitary within 1e-12")
     lower = 1 << (site - 1)
     upper = state.dim // (2 * lower)
@@ -385,10 +406,13 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(mat).all():
         raise ValidationError("density matrix has a non-finite entry")
-    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+    # entries near the float range give inf, or nan, which fail the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.max(np.abs(mat - mat.conj().T))
+        trace = complex(np.trace(mat))
+    if asymmetry > _HERM_TOL:
         raise ValidationError("density matrix is not Hermitian within 1e-12")
-    trace = complex(np.trace(mat))
-    if abs(trace - 1.0) > _HERM_TOL:
+    if not abs(trace - 1.0) <= _HERM_TOL:
         raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-12")
     if np.min(np.linalg.eigvalsh(mat)) < -_HERM_TOL:
         raise ValidationError("density matrix has an eigenvalue below -1e-12")

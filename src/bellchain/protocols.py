@@ -10,9 +10,10 @@ import numpy as np
 
 from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
-from .evolve import Propagator, _chiral_map, matryoshka_time
-from .matryoshka import BellLabel, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, StateVector, _check_int, _check_real, _parity_indices, _partial_trace
+from .evolve import Propagator, _chiral_map, _protocol_time
+from .matryoshka import BellLabel, _JsonRecord, bell_product_amplitudes, closest_bell
+from .pauli import _TIE_TOL, StateVector, _check_int, _check_memory, _parity_indices
+from .pauli import _partial_trace, _shown
 from .pauli import concurrence, gate_apply, purity, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -119,7 +120,7 @@ def _classify_internal(inner: np.ndarray, n_inner: int) -> tuple[ChainClass, flo
 
 
 @dataclass(frozen=True)
-class ConveyorRecord:
+class ConveyorRecord(_JsonRecord):
     """One evolve-extract round of the conveyor."""
 
     round: int
@@ -129,17 +130,6 @@ class ConveyorRecord:
     extraction_concurrence: float
     chain_class: ChainClass
     internal_state_fidelity: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "pair_state": [[float(a.real), float(a.imag)] for a in self.pair_state],
-            "label": self.label.value,
-            "label_fidelity": self.label_fidelity,
-            "extraction_concurrence": self.extraction_concurrence,
-            "chain_class": self.chain_class.value,
-            "internal_state_fidelity": self.internal_state_fidelity,
-        }
 
 
 def conveyor_run(
@@ -157,7 +147,9 @@ def conveyor_run(
     rounds = _check_int("rounds", rounds)
     if rounds < 0:
         raise ValidationError("rounds must be nonnegative")
-    t_star = matryoshka_time(spec.lam) if t_star is None else _check_real("time", t_star)
+    # a round's ConveyorRecord holds about 512 bytes, measured with tracemalloc
+    _check_memory(512 * rounds, f"a conveyor run of {_shown(rounds)} rounds")
+    t_star = _protocol_time(spec.lam, t_star)
     propagator = Propagator(build_hamiltonian(spec))
     state = StateVector.zero_state(spec.n_sites)
     records = []
@@ -184,19 +176,12 @@ def conveyor_run(
 
 
 @dataclass(frozen=True)
-class GhzResult:
+class GhzResult(_JsonRecord):
     """Chain length and phase-maximized GHZ fidelity."""
 
     n_sites: int
     ghz_fidelity: float
     relative_phase: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "ghz_fidelity": self.ghz_fidelity,
-            "relative_phase": self.relative_phase,
-        }
 
 
 def ghz_protocol(spec: ChainSpec, t_star: float | None = None) -> GhzResult:
@@ -216,8 +201,7 @@ def ghz_protocol(spec: ChainSpec, t_star: float | None = None) -> GhzResult:
     """
     if spec.pattern is not Pattern.MATRYOSHKA_ALTERNATING:
         raise ValidationError("the GHZ protocol requires the matryoshka coupling pattern")
-    if t_star is None:
-        t_star = matryoshka_time(spec.lam)
+    t_star = _protocol_time(spec.lam, t_star)
     hamiltonian = build_hamiltonian(spec)
     phi = Propagator(hamiltonian).evolve(StateVector.zero_state(spec.n_sites), t_star)
     chi = gate_apply(phi, (spec.n_sites + 1) // 2, _HADAMARD).amplitudes

@@ -325,10 +325,15 @@ def test_non_finite_input_exits_two(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
+        pytest.param(["generate", "--n", "7", "--t-star", "1e308"], id="eigen-time"),
+        pytest.param(["generate", "--n", "13", "--t-star", "1e308"], id="krylov-time"),
+        pytest.param(["verify", "--n", "7", "--t-star", "1e308"], id="covariance-time"),
+        pytest.param(["generate", "--n", "7", "--b=" + "1e308," * 6 + "1e308"], id="eigen-fields"),
+        pytest.param(["generate", "--n", "13", "--b=" + "1e308," * 12 + "1e308"], id="krylov-fields"),
         ["ghz", "--n", "3", "--lam", "1e200", "--t-star", "1e200"],
         ["reference-point", "--lam", "1e200", "--t-star", "1e200", "--out", "{tmp}/ref.json"],
         ["sweep", "--n", "3", "--grid", "2", "--b3", "0", "--lam", "1e200", "--t-star", "1e200",
@@ -339,7 +344,11 @@ def test_non_finite_input_exits_two(tmp_path, capsys, argv):
     ids=lambda argv: argv[0],
 )
 def test_non_finite_result_exits_three(tmp_path, capsys, argv):
-    """Finite, valid couplings and times whose products overflow inside the evolution."""
+    """Finite, valid couplings, fields and times whose products overflow inside the evolution.
+
+    Each is refused before numpy can warn: the phase angles, the covariance
+    route's angles and the Hamiltonian's entries are checked first.
+    """
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
     captured = capsys.readouterr()
     assert "overflowed" in captured.err
@@ -455,14 +464,26 @@ def test_oversized_verify_exits_two_before_the_schedule(monkeypatch, capsys):
         ["verify", "--n", "99999999"],
         ["generate", "--n", "99999999"],
         ["conveyor", "--config", "{cfg}", "--n", "20000001"],
+        ["verify", "--config", "{big}"],
+        ["verify", "--n", "1" * 2201],
     ],
-    ids=["verify-2e7", "verify-1e8", "generate-1e8", "config-override"],
+    ids=[
+        "verify-2e7",
+        "verify-1e8",
+        "generate-1e8",
+        "config-override",
+        "config-2e7",
+        "verify-2201-digits",
+    ],
 )
 def test_oversized_chain_exits_two_before_its_couplings(monkeypatch, capsys, tmp_path, argv):
     # even the covariance route, the smallest, needs 512 N^2 bytes: far beyond any
-    # host here, so the check refuses before a spec builds its N-float couplings
-    cfg = tmp_path / "chain.cfg"
+    # host here, so the check refuses before a spec builds its N-float couplings,
+    # whether the length comes from a flag or from a config file; at 2201 digits the
+    # need passes the 4300 digits str() renders, and the message gives its bit count
+    cfg, big = tmp_path / "chain.cfg", tmp_path / "big.cfg"
     cfg.write_text("n_sites = 5\n", encoding="utf-8")
+    big.write_text("n_sites = 20000001\n", encoding="utf-8")
     specs = []
     post_init = ChainSpec.__post_init__
 
@@ -473,10 +494,25 @@ def test_oversized_chain_exits_two_before_its_couplings(monkeypatch, capsys, tmp
         post_init(spec)
 
     monkeypatch.setattr(ChainSpec, "__post_init__", counted)
-    assert main([arg.format(cfg=cfg) for arg in argv]) == 2
+    assert main([arg.format(cfg=cfg, big=big) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "physical memory" in err and "covariance" in err
-    assert specs == ([5] if "--config" in argv else [])
+    assert specs == ([5] if "{cfg}" in argv else [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "3", "--grid", str(10**20), "--out-dir", "{tmp}"],
+        ["conveyor", "--n", "3", "--rounds", str(10**15)],
+    ],
+    ids=["sweep-grid-1e20", "conveyor-rounds-1e15"],
+)
+def test_sweep_and_conveyor_sizes_exit_two_before_their_loops(capsys, tmp_path, argv):
+    # the sweep's rows and the conveyor's records are sized against memory first
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

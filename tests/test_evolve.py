@@ -21,6 +21,7 @@ from bellchain import (
     matryoshka_time,
 )
 import bellchain.evolve
+import bellchain.pauli
 from _helpers import random_custom_spec, random_state
 from _reference import evolve_dense, letters_dense, spec_hamiltonian, terms_hamiltonian
 
@@ -281,7 +282,7 @@ def test_krylov_basis_must_fit_in_memory(monkeypatch):
     h = build_hamiltonian(ChainSpec(13))
     for pages, fits in ((need, True), (need - 1, False)):
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(bellchain.evolve.os, "sysconf", sizes.__getitem__)
+        monkeypatch.setattr(bellchain.pauli.os, "sysconf", sizes.__getitem__)
         if fits:
             Propagator(h, method="krylov")
         else:

@@ -24,7 +24,8 @@ from bellchain import (
 )
 from bellchain import fermion
 from bellchain.cli import main
-import bellchain.evolve
+import bellchain.chain
+import bellchain.pauli
 from _helpers import random_custom_spec
 from _reference import basis_vec, chain_terms, couplings, covariance_ref, evolve_dense
 from _reference import krawtchouk_mirror, letters_dense, majorana_dense, majorana_word
@@ -368,10 +369,10 @@ def test_a_coupling_that_overflows_in_the_block_is_refused():
 
 def test_covariance_route_must_fit_in_memory(monkeypatch, capsys):
     # the route's complex 26 x 26 matrices: exactly at the limit passes, a byte less exits 2
-    need = fermion._MATRICES_HELD * 26**2 * 16
+    need = bellchain.chain._MATRICES_HELD * 26**2 * 16
     for pages, code in ((need, 0), (need - 1, 2)):
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(bellchain.evolve.os, "sysconf", sizes.__getitem__)
+        monkeypatch.setattr(bellchain.pauli.os, "sysconf", sizes.__getitem__)
         assert main(["verify", "--n", "13"]) == code
         if code == 2:
             assert "physical memory" in capsys.readouterr().err

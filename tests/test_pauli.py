@@ -1,7 +1,13 @@
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bellchain import (
+    BellchainError,
     BellLabel,
     ChainSpec,
     DensityMatrix,
@@ -19,13 +25,19 @@ from bellchain import (
     bit_label,
     build_hamiltonian,
     closest_bell,
+    concurrence,
     conveyor_run,
     extract_pair,
     field_sweep,
+    flux_check,
     gate_apply,
+    ghz_protocol,
     heisenberg_evolve,
+    load_chain_config,
+    matryoshka_couplings,
     matryoshka_time,
     mirror_pair_sign,
+    perfect_transfer_couplings,
     purity,
     reduced_density,
     reference_point_fidelity,
@@ -415,6 +427,154 @@ def test_enum_inputs_take_the_member_or_its_value(call):
         for bad in (None, 3, ["psi+"], "bogus"):
             with pytest.raises(ValidationError, match="unknown"):
                 run(n, bad)
+
+
+def _routes(n):
+    """Each route an n-site spec runs on: a call taking the spec."""
+    def evolve(method):
+        return lambda spec: Propagator(build_hamiltonian(spec), method).evolve(
+            StateVector.zero_state(n), 0.5
+        )
+
+    return {
+        "eigen": evolve("eigen"),
+        "krylov": evolve("krylov"),
+        "covariance": lambda spec: verify_free_fermion(spec, 0.5),
+    }
+
+
+# the numbers a spec carries: a spec built from the value on an n-site chain
+_SPEC_NUMBERS = {
+    "lam": lambda n, v: ChainSpec(n, v),
+    "fields_b": lambda n, v: ChainSpec(n, fields_b=(v,) * n),
+    "j_x": lambda n, v: ChainSpec(n, pattern="custom", j_x=(v,) * (n - 1), j_y=(1.0,) * (n - 1)),
+    "j_y": lambda n, v: ChainSpec(n, pattern="custom", j_x=(1.0,) * (n - 1), j_y=(v,) * (n - 1)),
+}
+
+
+def _terms(n, weight):
+    return HamiltonianTerms(n, ((weight, PauliString(n, 3, 0)), (1.0, PauliString(n, 0, 1))))
+
+
+def _config(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "chain.cfg"
+        path.write_text(text, encoding="utf-8")
+        return load_chain_config(str(path))
+
+
+def _pairs(n, site):
+    return tuple(((p, n + 1 - p), "psi+") for p in range(1, (n + 1) // 2) if p != 1) + (
+        ((site, n), "psi+"),
+    )
+
+
+# every numeric input of the public functions and constructors: a call taking
+# the value on an n-site chain.  Arrays are filled with the value.  Left out:
+# the enums, the errors and the result records, which check nothing and only
+# carry what the library computed, and sweep_to_csv and sweep_summary, which
+# format those records
+_NUMBER_CALLS = {
+    **{
+        f"ChainSpec {number} on the {route} route": (
+            lambda n, v, number=number, route=route: _routes(n)[route](_SPEC_NUMBERS[number](n, v))
+        )
+        for number in _SPEC_NUMBERS
+        for route in ("eigen", "krylov", "covariance")
+    },
+    **{
+        f"HamiltonianTerms weight on the {route} route": (
+            lambda n, v, route=route: Propagator(_terms(n, v), route).evolve(
+                StateVector.zero_state(n), 0.5
+            )
+        )
+        for route in ("eigen", "krylov")
+    },
+    **{
+        f"Propagator.evolve {route} time": (
+            lambda n, v, route=route: Propagator(build_hamiltonian(ChainSpec(n)), route).evolve(
+                StateVector.zero_state(n), v
+            )
+        )
+        for route in ("eigen", "krylov")
+    },
+    "ChainSpec n_sites": lambda n, v: ChainSpec(v),
+    "HamiltonianTerms n_sites": lambda n, v: HamiltonianTerms(v, ()),
+    "perfect_transfer_couplings n_sites": lambda n, v: perfect_transfer_couplings(v, 1.0),
+    "perfect_transfer_couplings lam": lambda n, v: perfect_transfer_couplings(n, v),
+    "matryoshka_couplings n_sites": lambda n, v: matryoshka_couplings(v, 1.0),
+    "matryoshka_couplings lam": lambda n, v: matryoshka_couplings(n, v),
+    "matryoshka_time lam": lambda n, v: matryoshka_time(v),
+    "heisenberg_evolve t": lambda n, v: heisenberg_evolve(
+        build_hamiltonian(ChainSpec(n)), PauliString(n, 1, 0), v
+    ),
+    "PauliString n_sites": lambda n, v: PauliString(v, 1, 0),
+    "PauliString x_mask": lambda n, v: PauliString(n, v, 0),
+    "PauliString z_mask": lambda n, v: PauliString(n, 0, v),
+    "PauliString.single n_sites": lambda n, v: PauliString.single(v, 1, "X"),
+    "PauliString.single site": lambda n, v: PauliString.single(n, v, "X"),
+    "StateVector amplitudes": lambda n, v: StateVector([v] + [0.0] * ((1 << n) - 1)),
+    "StateVector amplitudes normalized": lambda n, v: StateVector([v] * (1 << n), normalize=True),
+    "StateVector.zero_state n_sites": lambda n, v: StateVector.zero_state(v),
+    "StateVector.dominant_components tol": (
+        lambda n, v: StateVector.zero_state(n).dominant_components(v)
+    ),
+    "bit_label index": lambda n, v: bit_label(v, n),
+    "bit_label n_sites": lambda n, v: bit_label(1, v),
+    "gate_apply site": lambda n, v: gate_apply(StateVector.zero_state(n), v, X),
+    "gate_apply gate": lambda n, v: gate_apply(StateVector.zero_state(n), 1, [[v, v], [v, v]]),
+    "reduced_density site": lambda n, v: reduced_density(StateVector.zero_state(n), (v,)),
+    "DensityMatrix site": lambda n, v: DensityMatrix((v,), np.eye(2) / 2),
+    "DensityMatrix matrix": lambda n, v: DensityMatrix((1,), [[v, v], [v, v]]),
+    "purity rho": lambda n, v: purity([[v, v], [v, v]]),
+    "concurrence rho": lambda n, v: concurrence([[v] * 4] * 4),
+    "closest_bell vector": lambda n, v: closest_bell([v] * 4),
+    "closest_bell density": lambda n, v: closest_bell([[v] * 4] * 4),
+    "bell_schedule n_sites": lambda n, v: bell_schedule(v),
+    "MatryoshkaSchedule n_sites": lambda n, v: MatryoshkaSchedule(v, 0, ()),
+    "MatryoshkaSchedule central_value": lambda n, v: MatryoshkaSchedule(n, v, _pairs(n, 1)),
+    "MatryoshkaSchedule pair site": lambda n, v: MatryoshkaSchedule(n, 0, _pairs(n, v)),
+    "bell_product_amplitudes n_sites": lambda n, v: bell_product_amplitudes(v, [], 1, 0),
+    "bell_product_amplitudes central_site": lambda n, v: bell_product_amplitudes(n, [], v, 0),
+    "bell_product_amplitudes central_value": lambda n, v: bell_product_amplitudes(n, [], 1, v),
+    "bell_product_amplitudes pair site": (
+        lambda n, v: bell_product_amplitudes(n, [(v, n, "psi+")], 2, 0)
+    ),
+    "mirror_pair_sign n_sites": lambda n, v: mirror_pair_sign(v, 1),
+    "mirror_pair_sign pair_index": lambda n, v: mirror_pair_sign(n, v),
+    "verify_free_fermion t": lambda n, v: verify_free_fermion(ChainSpec(n), v),
+    "flux_check t": lambda n, v: flux_check(ChainSpec(n), v),
+    "ghz_protocol t_star": lambda n, v: ghz_protocol(ChainSpec(n), v),
+    "conveyor_run rounds": lambda n, v: conveyor_run(ChainSpec(n), v),
+    "conveyor_run t_star": lambda n, v: conveyor_run(ChainSpec(n), 1, v),
+    "field_sweep grid_points": lambda n, v: field_sweep(ChainSpec(3), v, (0.05,)),
+    "field_sweep b3_ratios": lambda n, v: field_sweep(ChainSpec(3), 2, (v,)),
+    "field_sweep t_star": lambda n, v: field_sweep(ChainSpec(3), 2, (0.05,), v),
+    "reference_point_fidelity scale": lambda n, v: reference_point_fidelity(v),
+    "reference_point_fidelity lam": lambda n, v: reference_point_fidelity(1.0, v),
+    "reference_point_fidelity t_star": lambda n, v: reference_point_fidelity(1.0, 1.0, v),
+    **{
+        f"load_chain_config {key}": lambda n, v, key=key: _config(
+            f"n_sites = {n}\n{key} = {v}\n" if key != "n_sites" else f"n_sites = {v}\n"
+        )
+        for key in ("n_sites", "lambda", "b_fields")
+    },
+}
+_ODD_NUMBERS = (math.nan, math.inf, -math.inf, 1e308, 10**400, -1, 0, True, np.float64("nan"))
+
+
+@pytest.mark.parametrize("call", sorted(_NUMBER_CALLS))
+def test_numeric_inputs_return_or_raise_a_bellchain_error_without_a_warning(call):
+    run = _NUMBER_CALLS[call]
+    rng = np.random.default_rng(3033)
+    for value in _ODD_NUMBERS:
+        n = int(rng.choice((3, 5, 7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                run(n, value)
+            except BellchainError:
+                pass  # ValidationError is one too
 
 
 def test_reduced_density_accepts_every_valid_state():
