@@ -42,4 +42,4 @@ spec = ChainSpec(3)
 state = Propagator(build_hamiltonian(spec)).evolve(
     StateVector.zero_state(3), matryoshka_time()
 )
-print("N = 3 amplitudes:", state.dominant_components(1e-12))
+print("N = 3 amplitudes:", state.dominant_components())

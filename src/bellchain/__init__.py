@@ -18,7 +18,6 @@ from .analysis import (
     field_sweep,
     purity,
     reference_point_fidelity,
-    state_fidelity,
     sweep_summary,
     sweep_to_csv,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "reduced_density",
     "reference_point_fidelity",
     "save_chain_config",
-    "state_fidelity",
     "sweep_summary",
     "sweep_to_csv",
     "verify_free_fermion",

@@ -26,17 +26,14 @@ from .errors import ValidationError
 from .evolve import _protocol_time
 from .fermion import _block_covariance, _coupling_block, _evolved_covariance, _gaussian_fidelity
 from .matryoshka import InitialState
-from .pauli import StateVector, _check_int, _check_memory, _check_real, _check_reals, _shown
+from .pauli import _check_int, _check_memory, _check_real, _check_reals, _shown
 from .pauli import concurrence, purity  # re-exported: their public home
 
 # Hardware-motivated operating point for the three-site robustness
 # study: per-site field strengths over the first-bond coupling.
 REFERENCE_FIELD_RATIOS = (7.8 / 270.0, 19.6 / 270.0, 12.6 / 270.0)
-
-
-def state_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|, manifestly invariant under global phases."""
-    return abs(a.inner(b))
+# a sweep row, with its CSV line in cli.main: at most 420 bytes (tracemalloc)
+_ROW_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,11 @@ def field_sweep(
     if any(not 0.0 <= b <= 0.1 for b in ratios_b3):
         raise ValidationError("b3 ratios must lie in [0, 0.1]")
     t_star = _protocol_time(base.lam, t_star)
-    points = grid_points**2 * len(ratios_b3)  # each row holds about 152 bytes (tracemalloc)
-    _check_memory(152 * points, f"a field sweep of {_shown(points)} points")
+    points = grid_points**2 * len(ratios_b3)
+    _check_memory(_ROW_BYTES * points, f"a field sweep of {_shown(points)} points")
     axis = tuple(np.linspace(0.0, 0.1, grid_points))
     couplings = base.couplings()
     j_edge = couplings[1][0]
-    # checks the route's size against memory once, for every point of the sweep
     reference = _evolved_covariance(base, t_star, InitialState.ALL0)
     results = []
     for b3 in sorted(ratios_b3):

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _NOT_FINITE, BellchainError, ValidationError
-from .pauli import PauliString, _check_chain_length, _check_choice, _check_int, _check_memory
-from .pauli import _check_real, _check_reals, _mask_action, _parity_indices, _parse_reals, _shown
+from .errors import ValidationError, _check_finite
+from .pauli import PauliString, _check_array_memory, _check_chain_length, _check_choice
+from .pauli import _check_int, _check_memory, _check_real, _check_reals, _mask_action
+from .pauli import _parity_indices, _parse_reals, _shown
 
 # the covariance route's memory in 2N x 2N matrices of 16 bytes an entry, each the room
 # of two real ones: R, O E^T and its transpose, Gamma, and the carried elimination's
@@ -45,6 +46,7 @@ def _covariance_need(n_sites: int) -> tuple[int, str]:
 def perfect_transfer_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
     """Mirror-symmetric bond strengths J_i = lam * sqrt(i (N - i))."""
     n_sites = _check_chain_length(n_sites)
+    _check_memory(32 * n_sites, f"the couplings of {_shown(n_sites)} sites")  # float + pointer
     lam = _check_real("coupling scale", lam)
     if lam <= 0:
         raise ValidationError(f"coupling scale must be positive, got {lam}")
@@ -85,6 +87,7 @@ class ChainSpec:
 
     def __post_init__(self):
         n = _check_chain_length(self.n_sites)
+        _check_memory(*_covariance_need(n))  # before the N-float fields and couplings exist
         lam = _check_real("coupling scale", self.lam)
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "lam", lam)
@@ -173,8 +176,7 @@ class HamiltonianTerms:
             with np.errstate(over="ignore"):  # past the float range: inf, refused here
                 for weight, string in members:
                     coeff += weight * _mask_action(string, rows ^ x_mask)[1]
-            if not np.isfinite(coeff).all():
-                raise BellchainError(_NOT_FINITE)
+            _check_finite(coeff)
             axes = tuple(n - 1 - bit for bit in range(n) if x_mask >> bit & 1)
             groups.append((axes, coeff))
         return tuple(groups)
@@ -276,6 +278,7 @@ class HamiltonianTerms:
         :func:`build_hamiltonian` and both of its parity sectors), and
         complex128 otherwise.
         """
+        _check_array_memory(16, 2 * self.n_sites, f"a matrix of {_shown(self.n_sites)} sites")
         dim = 1 << self.n_sites
         idx = np.arange(dim, dtype=np.int64)
         real = not any((string.x_mask & string.z_mask).bit_count() % 2 for _, string in self.terms)
@@ -363,14 +366,12 @@ def load_chain_config(path: str) -> ChainSpec:
     if "n_sites" not in raw:
         raise ValidationError(f"{path}: missing required key 'n_sites'")
     try:
-        n_sites = _check_chain_length(int(raw["n_sites"]))
-        _check_memory(*_covariance_need(n_sites))
         lam = float(raw.get("lambda", "1.0"))
         # an empty b_fields means no fields
         fields = _parse_reals("b_fields", raw["b_fields"]) if raw.get("b_fields") else ()
         j_x = _parse_reals("j_x", raw["j_x"]) if "j_x" in raw else None
         j_y = _parse_reals("j_y", raw["j_y"]) if "j_y" in raw else None
         pattern = raw.get("pattern", Pattern.MATRYOSHKA_ALTERNATING)
-        return ChainSpec(n_sites, lam, pattern, fields, j_x=j_x, j_y=j_y)
+        return ChainSpec(int(raw["n_sites"]), lam, pattern, fields, j_x=j_x, j_y=j_y)
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -29,13 +29,12 @@ from .analysis import (
     sweep_summary,
     sweep_to_csv,
 )
-from .chain import ChainSpec, Pattern, _config_fields, _covariance_need, build_hamiltonian
-from .chain import load_chain_config
+from .chain import ChainSpec, Pattern, _config_fields, build_hamiltonian, load_chain_config
 from .errors import BellchainError, ValidationError
 from .evolve import Propagator, _protocol_time
 from .fermion import verify_free_fermion
 from .matryoshka import InitialState, bell_schedule, flux_check, verify_matryoshka
-from .pauli import StateVector, _check_chain_length, _check_memory, _check_real, _parse_reals
+from .pauli import StateVector, _check_real, _parse_reals
 from .protocols import conveyor_run, ghz_protocol
 
 
@@ -111,9 +110,7 @@ def _resolve_spec(args: argparse.Namespace) -> ChainSpec:
         raise ValidationError("chain length required: pass --n or --config")
     else:
         base = ChainSpec  # the flag defaults are the spec's own field defaults
-    n = _check_chain_length(args.n if args.n is not None else base.n_sites)
-    # the smallest route's need, checked before the spec builds N-float coupling tuples
-    _check_memory(*_covariance_need(n))
+    n = args.n if args.n is not None else base.n_sites
     lam = args.lam if args.lam is not None else base.lam
     pattern = Pattern(args.pattern) if args.pattern else base.pattern
     fields = _parse_reals("field", args.b) if args.b else base.fields_b
@@ -162,8 +159,6 @@ def _emit_json(payload: dict, out: str | None, echo: Sequence[str] = ()) -> None
 
 
 def _cmd_generate(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> int:
-    # the propagator is built, and checks the size against memory, before
-    # the start state exists; it is dropped as soon as the state is evolved
     state = Propagator(build_hamiltonian(spec)).evolve(
         StateVector.zero_state(spec.n_sites)
         if args.initial == "all0"
@@ -177,7 +172,7 @@ def _cmd_generate(args: argparse.Namespace, spec: ChainSpec, t_star: float) -> i
         "state": {
             "components": [
                 {"basis": basis, "re": amp.real, "im": amp.imag}
-                for basis, amp in state.dominant_components(1e-12)
+                for basis, amp in state.dominant_components()
             ]
         },
         "verification": report.to_json_dict(),

@@ -2,7 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 _NOT_FINITE = "the evolution overflowed: the Hamiltonian or time is too large for double precision"
+
+
+def _check_finite(values: float | np.ndarray) -> None:
+    """Raise BellchainError (``_NOT_FINITE``, exit 3) unless a float, or an array, is all finite."""
+    # math.isfinite takes a float in a tenth of the time numpy does
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise BellchainError(_NOT_FINITE)
 
 
 class BellchainError(Exception):

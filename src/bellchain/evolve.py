@@ -55,16 +55,14 @@ from typing import Callable
 import numpy as np
 
 from .chain import HamiltonianTerms
-from .errors import _NOT_FINITE, BellchainError, ConvergenceError, DimensionMismatchError
-from .errors import ValidationError
-from .pauli import PauliString, StateVector, _check_memory, _check_real
+from .errors import ConvergenceError, DimensionMismatchError, ValidationError, _check_finite
+from .pauli import _KRYLOV_TOLERANCE, _LANCZOS_BREAKDOWN, PauliString, StateVector
+from .pauli import _check_array_memory, _check_real, _shown
 
 _EIGEN_MAX_SITES = 12
 _DENSE_OPERATOR_MAX_SITES = 8
 _MAX_SUBSTEPS = 1 << 20
-# error target of a whole Krylov evolution and Lanczos basis ceiling
-_KRYLOV_TOLERANCE = 1e-10
-_KRYLOV_MAX_SUBSPACE = 40
+_KRYLOV_MAX_SUBSPACE = 40  # Lanczos basis ceiling
 
 
 def matryoshka_time(lam: float = 1.0) -> float:
@@ -120,10 +118,9 @@ class Propagator:
                 f"got {hamiltonian.n_sites}; use the krylov method"
             )
         if method == "krylov":
-            _check_memory(
-                _KRYLOV_MAX_SUBSPACE * (1 << hamiltonian.n_sites) * 16,
-                f"a Krylov basis of {_KRYLOV_MAX_SUBSPACE} vectors at {hamiltonian.n_sites} sites",
-            )
+            n = hamiltonian.n_sites
+            what = f"a Krylov basis of {_KRYLOV_MAX_SUBSPACE} vectors at {_shown(n)} sites"
+            _check_array_memory(16 * _KRYLOV_MAX_SUBSPACE, n, what)
         self.hamiltonian = hamiltonian
         self.method = method
 
@@ -150,8 +147,7 @@ class Propagator:
                 amps[idx] = _eigen_expm(self.hamiltonian, p, t, part)
             else:
                 amps[idx] = _krylov_expm(sector.apply, part, t)
-        if not np.isfinite(amps).all():
-            raise BellchainError(_NOT_FINITE)
+        _check_finite(amps)
         return StateVector._trusted(state.n_sites, amps)
 
 
@@ -180,8 +176,7 @@ def _eigen_expm(
 
 def _phases(w: np.ndarray, t: float) -> np.ndarray:
     """exp(-i w t) of ascending ``w``; past the float range, BellchainError, not a numpy warning."""
-    if not math.isfinite(abs(t) * float(max(-w[0], w[-1]))):
-        raise BellchainError(_NOT_FINITE)
+    _check_finite(abs(t) * float(max(-w[0], w[-1])))
     return np.exp(-1j * w * t)
 
 
@@ -258,11 +253,11 @@ def _lanczos_step(
             w -= betas[j - 1] * basis[j - 1]
         alphas.append(alpha)
         beta = math.sqrt(_real_dot(w, w))
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise BellchainError(_NOT_FINITE)
+        _check_finite(alpha)
+        _check_finite(beta)
         w_small, q_small = _tridiagonal_eigh(alphas, betas)
         coefficients = q_small @ (_phases(w_small, dt) * q_small[0, :])
-        if beta < 1e-14 * max(1.0, abs(alpha)):
+        if beta < _LANCZOS_BREAKDOWN * max(1.0, abs(alpha)):
             break  # happy breakdown: the basis spans an invariant subspace
         if abs(t) * beta * abs(coefficients[-1]) <= _KRYLOV_TOLERANCE:
             break
@@ -326,6 +321,5 @@ def heisenberg_evolve(hamiltonian: HamiltonianTerms, pauli: PauliString, t: floa
     for p, (idx, _) in enumerate(hamiltonian._parity_sectors):
         u[np.ix_(idx, idx)] = _eigen_expm(hamiltonian, p, t)
     evolved = u.conj().T @ pauli.dense() @ u
-    if not np.isfinite(evolved).all():
-        raise BellchainError(_NOT_FINITE)
+    _check_finite(evolved)
     return evolved

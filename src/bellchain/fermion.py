@@ -41,13 +41,12 @@ memory, not by 2^N amplitudes.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _covariance_need
-from .errors import _NOT_FINITE, BellchainError
+from .chain import ChainSpec
+from .errors import _check_finite
 from .matryoshka import (
     _BELL_TABLE,
     BellLabel,
@@ -57,10 +56,9 @@ from .matryoshka import (
     _pair_report,
     bell_schedule,
 )
-from .pauli import _LETTER_MATRICES, DensityMatrix, _check_choice, _check_memory, _check_real
+from .pauli import _CARRY_MIN_PFAFFIAN, _LETTER_MATRICES, DensityMatrix, _check_choice
+from .pauli import _check_real
 
-# a carried |Pf(S)| below this leaves its pair, and every pair outside it, to direct Pfaffians
-_CARRY_MIN_PFAFFIAN = 1e-3
 # the 4x4 matrices of the parity-even Pauli strings of a site pair (p, q), the
 # identity left out, p the most significant bit: ZI, IZ, ZZ, XX, XY, YX, YY
 _PAIR_MATRICES = tuple(
@@ -159,30 +157,25 @@ def _block_covariance(block: np.ndarray, t: float, initial: InitialState) -> np.
     depend on the BLAS thread count as long as the SVD does not.  A
     non-finite B, angle St, R or Gamma raises BellchainError.
     """
-    if not np.isfinite(block).all():
-        raise BellchainError(_NOT_FINITE)
+    _check_finite(block)
     u, sigma, vt = np.linalg.svd(block)
-    if not math.isfinite(abs(t) * float(sigma[0])):
-        raise BellchainError(_NOT_FINITE)
+    _check_finite(abs(t) * float(sigma[0]))
     cos, sin = np.cos(sigma * t), np.sin(sigma * t)
     r = np.empty((2 * len(block),) * 2)
     r[0::2, 0::2] = np.einsum("ik,jk->ij", u * cos, u)
     r[0::2, 1::2] = np.einsum("ik,kj->ij", u * sin, vt)
     r[1::2, 0::2] = -np.einsum("ki,jk->ij", vt * sin[:, None], u)
     r[1::2, 1::2] = np.einsum("ki,kj->ij", vt * cos[:, None], vt)
-    if not np.isfinite(r).all():
-        raise BellchainError(_NOT_FINITE)
+    _check_finite(r)
     z = -1.0 if initial is InitialState.ALL1 else 1.0
     odd_even = np.einsum("ik,jk->ij", r[:, 1::2], r[:, 0::2])
     gamma = z * (odd_even - odd_even.T)
-    if not np.isfinite(gamma).all():
-        raise BellchainError(_NOT_FINITE)
+    _check_finite(gamma)
     return gamma
 
 
 def _evolved_covariance(spec: ChainSpec, t: float, initial: InitialState) -> np.ndarray:
-    """Gamma(t) of ``spec`` from ``initial``, its size first checked against physical memory."""
-    _check_memory(*_covariance_need(spec.n_sites))
+    """Gamma(t) of ``spec`` from ``initial``."""
     return _block_covariance(_coupling_block(*spec.couplings(), spec.fields_b), t, initial)
 
 
@@ -321,7 +314,6 @@ def verify_free_fermion(
     """
     t = _check_real("time", t)
     initial = _check_choice(InitialState, initial, "initial state")
-    # the route's memory check comes before the schedule, whose pairs grow with N
     gamma = _evolved_covariance(spec, t, initial)
     schedule = bell_schedule(spec.n_sites, initial)
     borders = _carried_borders(gamma)

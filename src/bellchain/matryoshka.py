@@ -19,14 +19,10 @@ import numpy as np
 from .chain import ChainSpec, _pair_string, build_hamiltonian
 from .errors import DimensionMismatchError, ValidationError
 from .evolve import heisenberg_evolve
-from .pauli import _TIE_TOL, DensityMatrix, PauliString, StateVector, _check_chain_length
-from .pauli import _check_choice, _check_int, _check_site, _complex_array, _mask_action
-from .pauli import _HERM_TOL, _check_memory, _density_array, _norm, _shown, concurrence
-from .pauli import purity, reduced_density
-
-_MATCH_COEFF_TOL = 1e-6
-# Bell overlaps <b|rho|b> below this are rounding, counted as 0
-_EIG_CUTOFF = 1e-12
+from .pauli import _BELL_OVERLAP_CUTOFF, _HERM_TOL, _MATCH_COEFF_TOL, _NO_Z_CUTOFF, _TIE_TOL
+from .pauli import DensityMatrix, PauliString, StateVector, _check_array_memory, _check_choice
+from .pauli import _check_chain_length, _check_int, _check_site, _complex_array, _density_array
+from .pauli import _check_memory, _mask_action, _norm, _shown, concurrence, purity, reduced_density
 
 
 class BellLabel(enum.Enum):
@@ -63,12 +59,12 @@ def bell_state(label: BellLabel | str) -> np.ndarray:
 def _mixed_bell_fidelity(b: np.ndarray, rho: np.ndarray) -> float:
     """sqrt(<b|rho|b>) of a Bell vector against a 4x4 density.
 
-    <b|rho|b> below ``_EIG_CUTOFF`` counts as 0: it is rounding, and
+    <b|rho|b> below ``_BELL_OVERLAP_CUTOFF`` counts as 0: it is rounding, and
     the root would lift rounding of 1e-16 to 1e-8.  Rounding above 1 is
     clipped to 1.
     """
     overlap = np.real(np.vdot(b, rho @ b))
-    return min(1.0, float(np.sqrt(overlap))) if overlap >= _EIG_CUTOFF else 0.0
+    return min(1.0, float(np.sqrt(overlap))) if overlap >= _BELL_OVERLAP_CUTOFF else 0.0
 
 
 def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
@@ -87,7 +83,7 @@ def closest_bell(pair: np.ndarray) -> tuple[BellLabel, float]:
     elif not np.isfinite(pair).all():
         raise ValidationError("pair entries must be finite")
     elif abs((norm := _norm(pair)) - 1.0) > _HERM_TOL:
-        raise ValidationError(f"pair state norm {norm} deviates from 1 beyond 1e-12")
+        raise ValidationError(f"pair state norm {norm} deviates from 1 beyond {_HERM_TOL}")
     fidelities = {
         label: abs(np.vdot(b, pair)) if pair.ndim == 1 else _mixed_bell_fidelity(b, pair)
         for label, b in _BELL_TABLE.items()
@@ -130,7 +126,7 @@ class MatryoshkaSchedule:
             if p in seen or q in seen:
                 raise ValidationError(f"site reuse in pair ({p}, {q})")
             seen.update((p, q))
-        if seen != set(range(1, n + 1)):
+        if len(seen) != n or seen != set(range(1, n + 1)):
             raise ValidationError("pairs plus central site must partition the chain")
 
     @property
@@ -158,6 +154,8 @@ def bell_schedule(n_sites: int, initial: InitialState | str = InitialState.ALL0)
     """
     n_sites = _check_chain_length(n_sites)
     initial = _check_choice(InitialState, initial, "initial state")
+    # the pairs, their checked copy and the partition's sets peak at about 280 bytes a site
+    _check_memory(300 * n_sites, f"a schedule of {_shown(n_sites)} sites")
     central = (n_sites + 1) // 2
     central_value = (central + 1) % 2 ^ (initial is InitialState.ALL1)
     pairs = tuple(
@@ -179,8 +177,8 @@ def bell_product_amplitudes(
     central_value = _check_int("central value", central_value)
     if central_value not in (0, 1):
         raise ValidationError("central value must be 0 or 1")
-    # 64 bytes an amplitude, for the indices and temporaries; no host holds 2^64 of them
-    _check_memory(64 << min(n_sites, 64), f"a product state of {_shown(n_sites)} sites")
+    # 64 bytes an amplitude, for the indices and temporaries
+    _check_array_memory(64, n_sites, f"a product state of {_shown(n_sites)} sites")
     idx = np.arange(1 << n_sites, dtype=np.int64)
     amps = np.ones(idx.size, dtype=complex)
     for p, q, label in labeled_pairs:
@@ -371,7 +369,7 @@ def flux_check(spec: ChainSpec, t: float) -> list[FluxMatch]:
         magnitudes = np.abs(spectrum)
         magnitudes[0] = -1.0  # the identity is not a Z-string: never a candidate
         top = magnitudes.max()
-        if top <= 1e-12:
+        if top <= _NO_Z_CUTOFF:
             out.append(FluxMatch(i, kind, None, None, 0.0, _hermitian_norm(matrix), False))
             continue
         mask = min(

@@ -25,10 +25,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-_NORM_TOL = 1e-10
-_HERM_TOL = 1e-12
-# magnitudes this close are equal up to rounding and count as ties
-_TIE_TOL = 1e-9
+# Every tolerance the library gates on, one line each with its reason:
+_NORM_TOL = 1e-10  # a state's norm may leave 1 by this: an evolution's rounding and Krylov error
+_HERM_TOL = 1e-12  # rounding allowed in a density's, pair's or gate's Hermitian and unit checks
+_TIE_TOL = 1e-9  # magnitudes this close are equal up to rounding and count as ties
+_PURITY_TOL = 1e-6  # a boundary pair less pure than 1 - this cannot be swapped out exactly
+_Z_SEP_TOL = 1e-8  # the inner chain is Z-basis separable when its top |a|^2 >= 1 - this
+_MATRYOSHKA_FIDELITY_THRESHOLD = 0.999  # least overlap of an inner chain with nested Bell pairs
+_MATCH_COEFF_TOL = 1e-6  # a flux match: its Z coefficient within this of 1, all others below
+_NO_Z_CUTOFF = 1e-12  # an evolved pair operator with no Z coefficient above this has none
+_BELL_OVERLAP_CUTOFF = 1e-12  # a Bell overlap <b|rho|b> below this is rounding, counted as 0
+_CARRY_MIN_PFAFFIAN = 1e-3  # a carried |Pf(S)| below this leaves its pair to direct Pfaffians
+_KRYLOV_TOLERANCE = 1e-10  # error target of a whole Krylov evolution, summed over its steps
+_LANCZOS_BREAKDOWN = 1e-14  # beta below this times max(1, |alpha|): an invariant Krylov space
+_COMPONENT_CUTOFF = 1e-12  # amplitudes no larger are rounding, not dominant components
 
 # letter <-> (x bit, z bit); Y = i X Z carries both masks and an i
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -114,6 +124,7 @@ class PauliString:
 
     def dense(self) -> np.ndarray:
         """Materialize as a 2^N x 2^N matrix via the mask action."""
+        _check_array_memory(16, 2 * self.n_sites, f"a matrix of {_shown(self.n_sites)} sites")
         dim = 1 << self.n_sites
         idx = np.arange(dim, dtype=np.int64)
         rows, values = _mask_action(self, idx)
@@ -163,6 +174,7 @@ class StateVector:
     def zero_state(cls, n_sites: int) -> "StateVector":
         """|00..0> on an N-site chain."""
         n_sites = _check_chain_length(n_sites)
+        _check_array_memory(16, n_sites, f"a state of {_shown(n_sites)} sites")
         amps = np.zeros(1 << n_sites, dtype=complex)
         amps[0] = 1.0
         return cls._trusted(n_sites, amps)
@@ -170,6 +182,7 @@ class StateVector:
     @classmethod
     def from_bits(cls, bits: str) -> "StateVector":
         """Z-basis product state from a site-ordered bit string."""
+        _check_array_memory(16, len(bits), f"a state of {len(bits)} sites")
         index = 0
         for pos, b in enumerate(bits):
             if b not in "01":
@@ -193,16 +206,15 @@ class StateVector:
             raise DimensionMismatchError("states live on different chain lengths")
         return complex(np.vdot(self._amps, other._amps))
 
-    def dominant_components(self, tol: float = 1e-12) -> list[tuple[str, complex]]:
-        """Basis components with |amplitude| > tol, largest first.
+    def dominant_components(self) -> list[tuple[str, complex]]:
+        """Basis components with |amplitude| > 1e-12, largest first.
 
         A magnitude within 1e-9 of the next larger one ties with it, and
         ties are broken by basis index, so rounding noise cannot reorder
         components of equal weight.
         """
-        tol = _check_real("tol", tol)
         mags = np.abs(self._amps)
-        kept = np.flatnonzero(mags > tol)
+        kept = np.flatnonzero(mags > _COMPONENT_CUTOFF)
         kept = kept[np.argsort(-mags[kept], kind="stable")]
         ranked = mags[kept]
         # a new tie class starts wherever the magnitude drops by more than _TIE_TOL
@@ -261,6 +273,11 @@ def _check_memory(need: int, what: str) -> None:
         raise ValidationError(
             f"{what} needs more than the {_shown(have)} bytes of physical memory ({_shown(need)})"
         )
+
+
+def _check_array_memory(bytes_each: int, bits: int, what: str) -> None:
+    """:func:`_check_memory` for 2^bits entries of ``bytes_each`` bytes; no host holds 2^64."""
+    _check_memory(bytes_each << min(bits, 64), what)
 
 
 def _shown(value) -> str:
@@ -351,7 +368,7 @@ def gate_apply(state: StateVector, site: int, gate: np.ndarray) -> StateVector:
     # a unitary's entries lie within 1; past that, G^dag G could leave the float range
     too_large = np.abs(gate).max() > 1.0 + _HERM_TOL
     if too_large or np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > _HERM_TOL:
-        raise ValidationError("gate is not unitary within 1e-12")
+        raise ValidationError(f"gate is not unitary within {_HERM_TOL}")
     lower = 1 << (site - 1)
     upper = state.dim // (2 * lower)
     block = state.amplitudes.reshape(upper, 2, lower)
@@ -411,11 +428,11 @@ def _check_density(matrix: np.ndarray) -> np.ndarray:
         asymmetry = np.max(np.abs(mat - mat.conj().T))
         trace = complex(np.trace(mat))
     if asymmetry > _HERM_TOL:
-        raise ValidationError("density matrix is not Hermitian within 1e-12")
+        raise ValidationError(f"density matrix is not Hermitian within {_HERM_TOL}")
     if not abs(trace - 1.0) <= _HERM_TOL:
-        raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-12")
+        raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond {_HERM_TOL}")
     if np.min(np.linalg.eigvalsh(mat)) < -_HERM_TOL:
-        raise ValidationError("density matrix has an eigenvalue below -1e-12")
+        raise ValidationError(f"density matrix has an eigenvalue below {-_HERM_TOL}")
     return mat
 
 

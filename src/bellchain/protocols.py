@@ -12,15 +12,13 @@ from .chain import ChainSpec, Pattern, build_hamiltonian
 from .errors import BellchainError, PairNotPureError, ValidationError
 from .evolve import Propagator, _chiral_map, _protocol_time
 from .matryoshka import BellLabel, _JsonRecord, bell_product_amplitudes, closest_bell
-from .pauli import _TIE_TOL, StateVector, _check_int, _check_memory, _parity_indices
-from .pauli import _partial_trace, _shown
-from .pauli import concurrence, gate_apply, purity, reduced_density
+from .pauli import _MATRYOSHKA_FIDELITY_THRESHOLD, _PURITY_TOL, _TIE_TOL, _Z_SEP_TOL
+from .pauli import StateVector, _check_int, _check_memory, _parity_indices, _partial_trace
+from .pauli import _shown, concurrence, gate_apply, purity, reduced_density
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_PURITY_TOL = 1e-6
-# the inner chain is Z-basis separable when its largest amplitude a has |a|^2 >= 1 - this
-_Z_SEP_TOL = 1e-8
-_MATRYOSHKA_FIDELITY_THRESHOLD = 0.999
+# a round's record, with its JSON, text and echo line in cli.main: at most 3.6 KB (tracemalloc)
+_ROUND_BYTES = 4096
 # Z parity of the pair basis |00>, |01>, |10>, |11>
 _PAIR_PARITY = np.array([0, 1, 1, 0])
 
@@ -147,8 +145,7 @@ def conveyor_run(
     rounds = _check_int("rounds", rounds)
     if rounds < 0:
         raise ValidationError("rounds must be nonnegative")
-    # a round's ConveyorRecord holds about 512 bytes, measured with tracemalloc
-    _check_memory(512 * rounds, f"a conveyor run of {_shown(rounds)} rounds")
+    _check_memory(_ROUND_BYTES * rounds, f"a conveyor run of {_shown(rounds)} rounds")
     t_star = _protocol_time(spec.lam, t_star)
     propagator = Propagator(build_hamiltonian(spec))
     state = StateVector.zero_state(spec.n_sites)

@@ -16,7 +16,6 @@ from bellchain import (
     purity,
     reduced_density,
     reference_point_fidelity,
-    state_fidelity,
     sweep_summary,
     sweep_to_csv,
 )
@@ -190,13 +189,6 @@ def test_concurrence_accepts_density_matrix_objects():
 def test_concurrence_validates_shape():
     with pytest.raises(ValidationError):
         concurrence(np.eye(2, dtype=complex) / 2)
-
-
-def test_state_fidelity_phase_invariant():
-    a = StateVector.zero_state(3)
-    amps = a.amplitudes * np.exp(0.7j)
-    b = StateVector(amps)
-    assert state_fidelity(a, b) == pytest.approx(1.0)
 
 
 def test_field_sweep_validations():

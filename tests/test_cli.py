@@ -3,12 +3,16 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import bellchain.analysis
+import bellchain.chain
 import bellchain.evolve
 import bellchain.fermion
+import bellchain.protocols
 from bellchain import ChainSpec, Propagator, StateVector, ValidationError, cli
 from bellchain.cli import main
 
@@ -449,7 +453,7 @@ def test_oversized_verify_exits_two_before_the_schedule(monkeypatch, capsys):
         specs.append(spec.n_sites)
         post_init(spec)
 
-    monkeypatch.setattr(bellchain.fermion, "_check_memory", refuse)
+    monkeypatch.setattr(bellchain.chain, "_check_memory", refuse)
     monkeypatch.setattr(bellchain.fermion, "bell_schedule", unreachable)
     monkeypatch.setattr(ChainSpec, "__post_init__", counted)
     assert main(["verify", "--n", "31"]) == 2
@@ -478,22 +482,22 @@ def test_oversized_verify_exits_two_before_the_schedule(monkeypatch, capsys):
 )
 def test_oversized_chain_exits_two_before_its_couplings(monkeypatch, capsys, tmp_path, argv):
     # even the covariance route, the smallest, needs 512 N^2 bytes: far beyond any
-    # host here, so the check refuses before a spec builds its N-float couplings,
+    # host here, so the spec refuses before it builds its N-float couplings,
     # whether the length comes from a flag or from a config file; at 2201 digits the
     # need passes the 4300 digits str() renders, and the message gives its bit count
     cfg, big = tmp_path / "chain.cfg", tmp_path / "big.cfg"
     cfg.write_text("n_sites = 5\n", encoding="utf-8")
     big.write_text("n_sites = 20000001\n", encoding="utf-8")
     specs = []
-    post_init = ChainSpec.__post_init__
+    couplings = bellchain.chain.perfect_transfer_couplings
 
-    def counted(spec):
-        specs.append(spec.n_sites)
-        if spec.n_sites > 1000:
-            raise AssertionError("an oversized spec was built")
-        post_init(spec)
+    def counted(n_sites, lam):
+        specs.append(n_sites)
+        if n_sites > 1000:
+            raise AssertionError("an oversized spec built its couplings")
+        return couplings(n_sites, lam)
 
-    monkeypatch.setattr(ChainSpec, "__post_init__", counted)
+    monkeypatch.setattr(bellchain.chain, "perfect_transfer_couplings", counted)
     assert main([arg.format(cfg=cfg, big=big) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "physical memory" in err and "covariance" in err
@@ -513,6 +517,55 @@ def test_sweep_and_conveyor_sizes_exit_two_before_their_loops(capsys, tmp_path, 
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "physical memory" in err
+
+
+# a command whose records grow with its last argument: argv, the record count, the
+# library's byte count for one record, and two sizes to measure the growth between
+_RECORD_COMMANDS = {
+    "conveyor": (
+        ["conveyor", "--n", "3", "--out", "{tmp}/conveyor.json", "--rounds"],
+        lambda rounds: rounds,
+        lambda: bellchain.protocols._ROUND_BYTES,
+        (50, 150),
+    ),
+    "sweep": (
+        ["sweep", "--n", "3", "--b3", "0", "--out-dir", "{tmp}", "--grid"],
+        lambda grid: grid * grid,
+        lambda: bellchain.analysis._ROW_BYTES,
+        (10, 30),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RECORD_COMMANDS))
+def test_record_byte_counts_cover_what_main_holds(tmp_path, capsys, command):
+    # the peak of a whole CLI run, records, JSON or CSV text and echo lines, grows by
+    # no more than the byte count the library checks against memory per record
+    argv, records, each, sizes = _RECORD_COMMANDS[command]
+    peaks = []
+    for size in sizes:
+        tracemalloc.start()
+        try:
+            assert main([arg.format(tmp=tmp_path) for arg in argv] + [str(size)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    growth = (peaks[1] - peaks[0]) / (records(sizes[1]) - records(sizes[0]))
+    assert 0.5 * each() < growth <= each()
+
+
+@pytest.mark.parametrize("command", sorted(_RECORD_COMMANDS))
+def test_record_byte_counts_gate_the_command(monkeypatch, tmp_path, capsys, command):
+    # exactly the records' bytes of physical memory passes, a byte less exits 2
+    argv, records, each, sizes = _RECORD_COMMANDS[command]
+    need = each() * records(sizes[0])
+    for pages, code in ((need, 0), (need - 1, 2)):
+        sizes_of = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(bellchain.pauli.os, "sysconf", sizes_of.__getitem__)
+        assert main([arg.format(tmp=tmp_path) for arg in argv] + [str(sizes[0])]) == code
+        if code == 2:
+            assert "physical memory" in capsys.readouterr().err
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):
